@@ -177,9 +177,8 @@ int main() {
   const double secs = bench::cell_seconds();
   bench::print_header("Batching ablation (Appendix F): batch bound sweep");
   std::printf("(producers=%d warmup=%.2fs measure=%.2fs per cell; "
-              "steady-state; reclaim=%s)\n",
-              producers, warmup, secs,
-              vm::bg_reclaim_enabled() ? "background" : "inline");
+              "steady-state; reclaim=batch>=%zu)\n",
+              producers, warmup, secs, txn::kDeferMinBatch);
   bench::Table table(
       {"max_batch", "mops", "avg_batch", "p50_us", "p99_us", "p999_us"});
   for (std::size_t mb : {std::size_t{1}, std::size_t{16}, std::size_t{256},

@@ -35,8 +35,8 @@ struct Workload {
 
 Workload make_workload() {
   invidx::CorpusConfig cc;
-  cc.num_docs = static_cast<std::uint64_t>(4000 * env_scale());
-  cc.vocabulary = static_cast<std::uint64_t>(20000 * env_scale());
+  cc.num_docs = static_cast<std::uint64_t>(config().scaled(4000));
+  cc.vocabulary = static_cast<std::uint64_t>(config().scaled(20000));
   auto corpus = invidx::make_corpus(cc);
 
   Workload w;
@@ -50,7 +50,7 @@ Workload make_workload() {
                                   corpus.begin() + static_cast<long>(end));
   }
   w.queries = invidx::make_query_terms(
-      cc, static_cast<std::uint64_t>(20000 * env_scale()));
+      cc, static_cast<std::uint64_t>(config().scaled(20000)));
   return w;
 }
 

@@ -23,6 +23,9 @@
 #                                       namespaced by the emitting bench
 #                                       (e.g. fig7/ftree/live_nodes_hwm,
 #                                       batching/txn/commit_latency_ns/p99)
+#   loc/include                         lines in the library's headers
+#                                       (include/**/*.h), so code size has
+#                                       a trajectory too
 #
 # A table whose header drifted parses to nothing; that must fail the run
 # loudly, not archive a silently empty JSON — any input file yielding zero
@@ -158,6 +161,12 @@ if [ -n "$footprint" ]; then
   require_metrics "$tmp/footprint" "$footprint"
   cat "$tmp/footprint" >> "$tmp/all"
 fi
+
+# Code size: every header under include/, found relative to this script.
+include_dir="$(dirname "$0")/../include"
+printf 'loc/include=%s\n' \
+  "$(find "$include_dir" -name '*.h' -exec cat {} + | wc -l | tr -d ' ')" \
+  >> "$tmp/all"
 
 awk -F= '
   BEGIN { print "{" }

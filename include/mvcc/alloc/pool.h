@@ -22,9 +22,9 @@
 //                allocating thread A a magazine at a time.
 //   Slabs        when the depot is dry too, the owning size class carves
 //                a fresh magazine's worth of blocks out of a slab
-//                (MVCC_SLAB_BYTES, default 64 KiB) obtained from
-//                operator new. Slabs are never returned to the OS while
-//                the pool lives — blocks recirculate.
+//                (kDefaultSlabBytes, 64 KiB) obtained from operator new.
+//                Slabs are never returned to the OS while the pool
+//                lives — blocks recirculate.
 //
 // The depot stacks are Treiber stacks made ABA-safe by indirection:
 // magazines live in a grow-only chunked table and the stack head packs
@@ -34,13 +34,12 @@
 // publishes a magazine's (plain, non-atomic) count/items to its next
 // owner.
 //
-// Routing: allocate()/deallocate() free functions check pooled() — the
-// MVCC_ALLOC knob resolved ONCE per process, so an allocate can never be
-// paired with a differently-routed deallocate — and fall back to plain
-// operator new/delete for "malloc" mode or blocks larger than
-// kMaxBlockBytes. Under AddressSanitizer every pooled block is poisoned
-// while it sits free, so a use-after-free into the pool faults exactly
-// like a heap use-after-free would.
+// Routing: the allocate()/deallocate() free functions send every block up
+// to kMaxBlockBytes through the process-wide pool and fall back to plain
+// operator new/delete only for larger blocks. Under AddressSanitizer every
+// pooled block is poisoned while it sits free, so a use-after-free into
+// the pool faults exactly like a heap use-after-free would, and freeing a
+// block that is already poisoned aborts as a double free.
 //
 // Telemetry (obs/ registry, touched only under obs::enabled()):
 //   alloc/slabs_live       slabs currently backing the pools
@@ -58,7 +57,6 @@
 #include <utility>
 #include <vector>
 
-#include "mvcc/common/env.h"
 #include "mvcc/obs/obs.h"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -71,6 +69,9 @@
 
 #ifdef MVCC_ALLOC_ASAN
 #include <sanitizer/asan_interface.h>
+
+#include <cstdio>
+#include <cstdlib>
 #define MVCC_ALLOC_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
 #define MVCC_ALLOC_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
 #else
@@ -87,6 +88,7 @@ inline constexpr std::size_t kQuantum = 16;
 inline constexpr std::size_t kNumClasses = 16;
 inline constexpr std::size_t kMaxBlockBytes = kQuantum * kNumClasses;
 inline constexpr std::size_t kMagazineSize = 64;  // blocks per magazine
+inline constexpr std::size_t kDefaultSlabBytes = std::size_t{1} << 16;
 
 inline constexpr std::size_t size_class(std::size_t bytes) {
   return (bytes + kQuantum - 1) / kQuantum - 1;
@@ -184,13 +186,10 @@ class Pool {
     std::int64_t depot_transfers = 0;
   };
 
-  // 0 = take the MVCC_SLAB_BYTES knob from config(). The floor keeps a
-  // slab big enough to carve whole magazines of the largest class.
-  explicit Pool(std::size_t slab_bytes = 0)
-      : slab_bytes_(
-            std::max<std::size_t>(slab_bytes != 0 ? slab_bytes
-                                                  : config().slab_bytes,
-                                  std::size_t{1} << 12)) {}
+  // Tests pass small slabs to force slab churn. The floor keeps a slab big
+  // enough to carve whole magazines of the largest class.
+  explicit Pool(std::size_t slab_bytes = kDefaultSlabBytes)
+      : slab_bytes_(std::max<std::size_t>(slab_bytes, std::size_t{1} << 12)) {}
 
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
@@ -442,6 +441,14 @@ class Pool {
   }
 
   void push_free(std::size_t ci, detail::ThreadCache::Slot& slot, void* p) {
+#ifdef MVCC_ALLOC_ASAN
+    // A free block is poisoned; freeing it again would park it in two
+    // magazines and hand it out twice.
+    if (__asan_address_is_poisoned(p)) {
+      std::fprintf(stderr, "mvcc::alloc: double free of pooled block %p\n", p);
+      std::abort();
+    }
+#endif
     MVCC_ALLOC_POISON(p, class_bytes(ci));
     detail::Magazine* m = slot.loaded;
     if (m != nullptr && m->count < kMagazineSize) {
@@ -534,40 +541,24 @@ inline ThreadCacheList::~ThreadCacheList() {
   head = nullptr;
 }
 
-// -1 = unresolved. The MVCC_ALLOC route latches at the first allocation
-// and never flips afterwards: a block must be freed by the same policy
-// that allocated it.
-inline std::atomic<int>& pooled_flag() {
-  static std::atomic<int> flag{-1};
-  return flag;
-}
-
 }  // namespace detail
 
-// Whether fixed-size blocks route through the slab pool (MVCC_ALLOC
-// unset/"slab") or plain operator new/delete ("malloc" — the A/B
-// fallback). Resolved once per process.
-inline bool pooled() {
-  int v = detail::pooled_flag().load(std::memory_order_relaxed);
-  if (v < 0) [[unlikely]] {
-    v = config().alloc_pooled ? 1 : 0;
-    detail::pooled_flag().store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
+// Whether a block of `bytes` fits a size class; larger ones take plain
+// operator new/delete.
+inline constexpr bool pooled_size(std::size_t bytes) {
+  return bytes != 0 && bytes <= kMaxBlockBytes;
 }
 
 // --- Routing front: the allocation API the subsystems consume --------------
 
 inline void* allocate(std::size_t bytes) {
-  if (bytes == 0 || bytes > kMaxBlockBytes || !pooled()) {
-    return ::operator new(bytes);
-  }
+  if (!pooled_size(bytes)) return ::operator new(bytes);
   return Pool::instance().allocate(bytes);
 }
 
 inline void deallocate(void* p, std::size_t bytes) {
   if (p == nullptr) return;
-  if (bytes == 0 || bytes > kMaxBlockBytes || !pooled()) {
+  if (!pooled_size(bytes)) {
     ::operator delete(p);
     return;
   }
@@ -579,7 +570,7 @@ inline void deallocate(void* p, std::size_t bytes) {
 inline void deallocate_batch(void* const* blocks, std::size_t n,
                              std::size_t bytes) {
   if (n == 0) return;
-  if (bytes == 0 || bytes > kMaxBlockBytes || !pooled()) {
+  if (!pooled_size(bytes)) {
     for (std::size_t i = 0; i < n; ++i) ::operator delete(blocks[i]);
     return;
   }

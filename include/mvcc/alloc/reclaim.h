@@ -1,17 +1,19 @@
 // The single reclamation seam for exact freed sets.
 //
-// Before this header there were two ways a freed set died: vm/'s
-// reclaim_payloads (inline deletes or the exec/ background lane) and
-// ftree::collect's direct per-node deletes. reclaim_batch unifies them:
-// every call site hands over (1) the batch, (2) a LANE — free it here or
-// on the background defer lane — and (3) a DISPOSE policy — operator
-// delete or return-to-pool. Deferred vs inline vs pooled is now a policy
-// choice made at one seam, not three divergent code paths.
+// Every VM client hands reclaim_payloads (1) the freed set a VM operation
+// returned, (2) a DISPOSE policy — operator delete or return-to-pool — and
+// (3) a LANE — free it here (the default) or on the exec/ pool's
+// background defer lane. The lane is the caller's execution policy:
+// txn/batching.h defers the freed sets of large commits, so the commit
+// never stalls on a big retirement's destructor cost, and frees
+// everything else inline.
 //
-// The background lane keeps PR 8's contract: reclaim_queue_depth() counts
-// payloads published-but-unfreed (the sampler's reclaim/queue_depth
-// column), every deferred batch runs under a `reclaim/batch_free` trace
-// span, and quiesce() blocks until the lane is drained.
+// Precision is untouched by the lane: the VM's claim protocol hands each
+// payload back exactly once, and only WHERE its destructor runs changes.
+// The background lane's contract: reclaim_queue_depth() counts payloads
+// published-but-unfreed (the sampler's reclaim/queue_depth column), every
+// deferred batch runs under a `reclaim/batch_free` trace span, and
+// reclaim_quiesce() blocks until the lane is drained.
 //
 // Registry handles (under obs::enabled()):
 //   reclaim/deferred         payloads routed to the background lane
@@ -68,10 +70,10 @@ struct ReclaimStats {
 };
 
 // Disposes of an exact freed set. Takes the vector by value so call sites
-// pass a VM return directly: `reclaim_batch(vm.release(p), lane)`.
+// pass a VM return directly: `reclaim_payloads(vm.release(p))`.
 template <class T, class Dispose = DeleteDispose>
-void reclaim_batch(std::vector<T*> dead, ReclaimLane lane,
-                   Dispose dispose = {}) {
+void reclaim_payloads(std::vector<T*> dead, Dispose dispose = {},
+                      ReclaimLane lane = ReclaimLane::kInline) {
   if (dead.empty()) return;
   if (lane == ReclaimLane::kInline) {
     for (T* p : dead) dispose(p);
@@ -95,7 +97,9 @@ void reclaim_batch(std::vector<T*> dead, ReclaimLane lane,
 
 // Blocks until every batch ever routed to the background lane has been
 // freed (helping drain from the calling thread). Trivially quiescent when
-// the pool was never created or the lane never engaged.
+// the pool was never created or the lane never engaged. BatchingMap's and
+// the managers' destructors quiesce, so deferred reclamation never leaks
+// at shutdown.
 inline void reclaim_quiesce() { exec::quiesce_deferred(); }
 
 }  // namespace mvcc::alloc

@@ -1,6 +1,6 @@
 // Shared work-stealing task pool: the execution substrate for the bulk
 // tree operations' fork-join parallelism (ftree/ops.h) and for
-// off-critical-path precise reclamation (vm/base.h MVCC_BG_RECLAIM).
+// off-critical-path precise reclamation (alloc/reclaim.h background lane).
 //
 // Before this layer every fork was a `std::async` thread (fine for one big
 // batch, wasteful for many small concurrent unions, with the spawn-failure

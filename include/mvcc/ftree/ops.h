@@ -168,11 +168,10 @@ inline typename A::T aug_of(const Node<K, V, A>* t) {
 
 // The allocation policy every node goes through — the explicit seam
 // between the tree algorithms and the alloc/ slab pool. `create`/`destroy`
-// are the unit operations (routing honors MVCC_ALLOC: slab pool by
-// default, plain operator new/delete under "malloc"); `free_batch` hands
-// an exact freed set's raw storage (destructors already run) back to the
-// pool wholesale, which is what makes a precise collect O(freed) in the
-// allocator too, not just in the traversal.
+// are the unit operations; `free_batch` hands an exact freed set's raw
+// storage (destructors already run) back to the pool wholesale, which is
+// what makes a precise collect O(freed) in the allocator too, not just in
+// the traversal.
 struct NodeAlloc {
   template <class N, class... Args>
   static N* create(Args&&... args) {
@@ -426,13 +425,8 @@ SplitResult<K, V, A> split(Node<K, V, A>* t, const K& k) {
 
 // Fork-join granularity for the bulk operations: a recursive subproblem
 // below this many nodes of work stays sequential, so the fork cost is
-// always amortized over thousands of node visits. Tunable (MVCC_GRAIN via
-// config().grain, default 2048, floored at kGrainFloor) for grain sweeps;
-// resolved once per process, so set it before the first bulk op.
-inline std::uint64_t bulk_grain() {
-  static const std::uint64_t g = static_cast<std::uint64_t>(config().grain);
-  return g;
-}
+// always amortized over thousands of node visits.
+inline constexpr std::uint64_t kBulkGrain = 2048;
 
 namespace detail {
 
@@ -459,7 +453,7 @@ Node<K, V, A>* union_rec(Node<K, V, A>* a, Node<K, V, A>* b, int budget) {
   SplitResult<K, V, A> s = split(a, bk);
   if (budget > 1 &&
       std::min(weight_of(s.left) + weight_of(bl),
-               weight_of(s.right) + weight_of(br)) >= bulk_grain()) {
+               weight_of(s.right) + weight_of(br)) >= kBulkGrain) {
     const int lb = budget / 2;
     const int rb = budget - lb;
     // Fork the right subproblem onto the shared pool, recurse left on this
@@ -486,7 +480,7 @@ Node<K, V, A>* build_sorted_rec(std::span<const std::pair<K, V>> entries,
                                 int budget) {
   if (entries.empty()) return nullptr;
   const std::size_t mid = entries.size() / 2;
-  if (budget > 1 && entries.size() >= 2 * bulk_grain()) {
+  if (budget > 1 && entries.size() >= 2 * kBulkGrain) {
     const int lb = budget / 2;
     const int rb = budget - lb;
     auto [l, r] = exec::invoke2(
@@ -510,13 +504,13 @@ Node<K, V, A>* build_sorted_rec(std::span<const std::pair<K, V>> entries,
 // unioning a delta over a corpus applies the delta). Consumes both.
 // O(m log(n/m + 1)) work for |b| = m <= n = |a| — the join-tree bound.
 // The independent recursive calls are forked across `threads` workers
-// (0 = config().threads) above the bulk_grain() cutoff; the resulting tree is
+// (0 = config().threads) above the kBulkGrain cutoff; the resulting tree is
 // bit-identical for every worker count. Inputs too small to ever fork
 // skip the worker-count resolution entirely, so small unions stay free
 // of getenv/sysconf traffic.
 template <class K, class V, class A>
 Node<K, V, A>* union_(Node<K, V, A>* a, Node<K, V, A>* b, int threads = 0) {
-  const int budget = weight_of(a) + weight_of(b) >= 2 * bulk_grain()
+  const int budget = weight_of(a) + weight_of(b) >= 2 * kBulkGrain
                          ? detail::bulk_budget(threads)
                          : 1;
   return detail::union_rec(a, b, budget);
@@ -527,7 +521,7 @@ Node<K, V, A>* union_(Node<K, V, A>* a, Node<K, V, A>* b, int threads = 0) {
 template <class K, class V, class A>
 Node<K, V, A>* build_sorted(std::span<const std::pair<K, V>> entries,
                             int threads = 0) {
-  const int budget = entries.size() >= 2 * bulk_grain()
+  const int budget = entries.size() >= 2 * kBulkGrain
                          ? detail::bulk_budget(threads)
                          : 1;
   return detail::build_sorted_rec<K, V, A>(entries, budget);
@@ -559,7 +553,7 @@ template <class K, class V, class A>
 Node<K, V, A>* multi_insert(Node<K, V, A>* t,
                             std::span<const std::pair<K, V>> batch,
                             int threads = 0) {
-  const int budget = weight_of(t) + batch.size() >= 2 * bulk_grain()
+  const int budget = weight_of(t) + batch.size() >= 2 * kBulkGrain
                          ? detail::bulk_budget(threads)
                          : 1;
   return detail::union_rec(

@@ -23,10 +23,8 @@
 // distinct slots. A slot p must not be used from two threads at once.
 // Precise GC falls out of the payload ownership: every Map a VM operation
 // proves unreachable goes through vm::reclaim_payloads with
-// alloc::PoolDispose (returned to the slab pool on the spot, or on the
-// exec/ pool's background lane under
-// MVCC_BG_RECLAIM=1; either way its destructor reenters collect for the
-// nested posting lists), and the destructor quiesces that lane, so
+// alloc::PoolDispose (returned to the slab pool on the spot; its
+// destructor reenters collect for the nested posting lists), so
 // ftree::live_nodes() returns to baseline once the index and its
 // snapshots are gone.
 #pragma once
@@ -63,7 +61,6 @@ class InvertedIndex {
   // Quiescent teardown; outstanding Snapshots stay valid (they own their
   // nodes by reference count, independent of the manager).
   ~InvertedIndex() {
-    vm::reclaim_quiesce();
     for (Map* dead : vm_.shutdown_drain()) alloc::destroy(dead);
   }
 

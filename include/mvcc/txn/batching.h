@@ -23,12 +23,13 @@
 //     single-writer serialization the VM contract (vm/base.h) requires.
 //   * Version payloads (Map objects) are owned here and created through
 //     the alloc/ pool: every pointer a VM operation proves unreachable
-//     goes through vm::reclaim_payloads with alloc::PoolDispose —
-//     returned to the pool on the spot by default, or on the exec/ pool's
-//     background lane under MVCC_BG_RECLAIM=1 so a commit never stalls on
-//     the destructor cost of a large retirement. The destructor quiesces
+//     goes through vm::reclaim_payloads with alloc::PoolDispose. A commit
+//     of at least kDeferMinBatch ops hands its freed sets to the exec/
+//     pool's background lane, so it never stalls on the destructor cost of
+//     a large retirement; every other reclaim (small commits, reader
+//     releases) returns to the pool on the spot. The destructor quiesces
 //     that lane and drains the manager, so ftree::live_nodes() returns to
-//     its baseline once the map and its snapshots are gone, in either mode.
+//     its baseline once the map and its snapshots are gone.
 //
 // The batch bound is the Appendix F knob: `max_batch` caps the ops folded
 // into one published version, trading throughput (bigger batches amortize
@@ -101,6 +102,16 @@ inline void register_txn_probes() {
     return g_queue_depth.load(std::memory_order_relaxed);
   });
 }
+
+// Smallest committed batch whose freed sets go to the background reclaim
+// lane. Each deferred set costs a worker wake-up: on a 4-vCPU host the
+// lane made ~1-op synchronous commits burn 16% more CPU and gave ~8-op
+// read-mostly batches nothing back, while it raised commit throughput by
+// about 30% at multi-thousand-op batches. bench_batching's writer-only
+// sweep favours the lane from 16-op batches up (+47% at 256), so 256
+// keeps small-batch traffic inline with room to spare and still defers
+// every large commit.
+inline constexpr std::size_t kDeferMinBatch = 256;
 
 // The operations a producer may submit. Updates are upserts today; the enum
 // leaves room for deletes once the tree grows a bulk difference path.
@@ -430,21 +441,25 @@ class BatchingMap {
 
   // One transaction: dedup the drained ops (stable sort — the last
   // submission per key wins), bulk-apply over the acquired version, publish
-  // through the VM, hand what it proved unreachable to reclaim (inline
-  // delete, or the background lane under MVCC_BG_RECLAIM — the commit then
-  // never stalls on a large retirement's destructor cost), then advance
-  // the per-producer committed cursors (which is what releases upsert_sync
-  // waiters and admission control).
+  // through the VM, hand what it proved unreachable to reclaim (on the
+  // background lane for batches of at least kDeferMinBatch ops, so a large
+  // commit never stalls on its retirement's destructor cost; inline
+  // otherwise), then advance the per-producer committed cursors (which is
+  // what releases upsert_sync waiters and admission control).
   void commit(std::vector<Entry>& batch, const std::vector<std::uint64_t>& from,
               std::size_t raw_ops) {
     obs::TraceSpan span("txn/flattener_commit", raw_ops);
     Map* cur = vm_.acquire(writer_pid());
     ftree::prepare_batch(batch);
     Map next = cur->multi_inserted(std::span<const Entry>(batch));
+    const alloc::ReclaimLane lane = raw_ops >= kDeferMinBatch
+                                        ? alloc::ReclaimLane::kBackground
+                                        : alloc::ReclaimLane::kInline;
     vm::reclaim_payloads(
         vm_.set(writer_pid(), alloc::create<Map>(std::move(next))),
-        alloc::PoolDispose{});
-    vm::reclaim_payloads(vm_.release(writer_pid()), alloc::PoolDispose{});
+        alloc::PoolDispose{}, lane);
+    vm::reclaim_payloads(vm_.release(writer_pid()), alloc::PoolDispose{},
+                         lane);
     ops_committed_.fetch_add(raw_ops, std::memory_order_relaxed);
     batches_committed_.fetch_add(1, std::memory_order_relaxed);
     if (obs::enabled()) {

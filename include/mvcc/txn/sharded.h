@@ -45,10 +45,10 @@
 //
 // MVCC_SHARDS sizing and the latch: a ShardedMap constructed with
 // shards=0 (the default) takes its shard count from mvcc::Config, and
-// that value LATCHES at the first such construction (like MVCC_ALLOC's
-// route latch): later setenv + reload_config() cannot change it for the
-// rest of the process, so two maps can never disagree about the topology
-// the process-wide sharded/shard<i>/* metrics are keyed by. An explicit
+// that value LATCHES at the first such construction: later setenv +
+// reload_config() cannot change it for the rest of the process, so two
+// maps can never disagree about the topology the process-wide
+// sharded/shard<i>/* metrics are keyed by. An explicit
 // shards argument (benches sweeping 1/2/4 in one process, tests) bypasses
 // the latch without disturbing it.
 //
@@ -83,9 +83,9 @@
 namespace mvcc::txn {
 
 // The MVCC_SHARDS latch: resolved from config() exactly once, at the first
-// default-sized ShardedMap construction (or first explicit call). Mirrors
-// the alloc/ route latch — reload_config() after this point changes
-// config().shards but NOT the count default-sized maps are built with.
+// default-sized ShardedMap construction (or first explicit call):
+// reload_config() after this point changes config().shards but NOT the
+// count default-sized maps are built with.
 inline int latched_shard_count() {
   static const int n = config().shards;
   return n;

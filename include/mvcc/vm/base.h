@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "mvcc/alloc/reclaim.h"
-#include "mvcc/exec/pool.h"
 #include "mvcc/obs/obs.h"
 
 namespace mvcc::vm {
@@ -83,73 +82,14 @@ inline void register_vm_probes() {
   });
 }
 
-// --- Off-critical-path precise reclamation (MVCC_BG_RECLAIM) -------------
-//
-// The VM algorithms return EXACT freed sets; by default their client
-// (txn/batching.h, invidx/) deletes the payloads inline, right on the path
-// that proved them unreachable — for the flattener that means a commit
-// stalls on the destructor cost of every version it retires. With
-// MVCC_BG_RECLAIM=1, reclaim_payloads() publishes the whole freed set to
-// the exec/ pool's background lane instead and returns immediately; a
-// worker runs the deletes under a `reclaim/batch_free` trace span.
-//
-// Precision is untouched: the freed SET is computed exactly as in the
-// inline mode (the managers' claim protocols still hand each payload back
-// exactly once), only WHERE the destructor runs changes. The counterpart
-// guarantee is reclaim_quiesce(): it blocks until every published batch
-// has been freed, so "ftree::live_nodes() returns to baseline" holds at
-// any quiescent point that drains — the client destructors (BatchingMap,
-// InvertedIndex, the managers themselves) all quiesce, so deferred
-// reclamation can never leak at shutdown.
-
-namespace detail {
-// -1 = uninitialized; the first query resolves the MVCC_BG_RECLAIM env
-// var. set_bg_reclaim() overrides for tests, mirroring obs::set_enabled.
-inline std::atomic<int>& bg_reclaim_flag() {
-  static std::atomic<int> flag{-1};
-  return flag;
-}
-}  // namespace detail
-
-inline bool bg_reclaim_enabled() {
-  int v = detail::bg_reclaim_flag().load(std::memory_order_relaxed);
-  if (v < 0) [[unlikely]] {
-    v = env_long("MVCC_BG_RECLAIM", 0) != 0 ? 1 : 0;
-    detail::bg_reclaim_flag().store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-inline void set_bg_reclaim(bool on) {
-  detail::bg_reclaim_flag().store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-// The queue-depth gauge and registry handles now live on the unified
-// alloc/ reclamation seam (alloc/reclaim.h); these names are kept so vm/
-// clients and tests read them where the lane was introduced.
-using alloc::ReclaimStats;
+// The reclamation seam lives in alloc/reclaim.h; vm/ clients reach it
+// under these names: `vm::reclaim_payloads(vm.release(p))` frees inline,
+// and a ReclaimLane::kBackground argument publishes the set to the exec/
+// background lane instead.
+using alloc::reclaim_payloads;
 using alloc::reclaim_queue_depth;
-
-// Frees a VM operation's returned payload set through the unified
-// alloc::reclaim_batch seam: inline when deferred reclaim is off (or the
-// set is empty), else as one batch on the exec/ pool's background lane.
-// Takes the vector by value so call sites pass the VM return directly:
-// `vm::reclaim_payloads(vm.release(p))`. The dispose policy says how each
-// payload dies — operator delete by default (client-owned payloads the VM
-// contract promises never to touch), alloc::PoolDispose for payloads the
-// client created through the slab pool.
-template <class T, class Dispose = alloc::DeleteDispose>
-void reclaim_payloads(std::vector<T*> dead, Dispose dispose = {}) {
-  alloc::reclaim_batch(std::move(dead),
-                       bg_reclaim_enabled() ? alloc::ReclaimLane::kBackground
-                                            : alloc::ReclaimLane::kInline,
-                       dispose);
-}
-
-// Blocks until every payload ever passed to reclaim_payloads has been
-// freed (helping drain from the calling thread). Trivially quiescent when
-// the pool was never created or deferred reclaim never engaged.
-inline void reclaim_quiesce() { alloc::reclaim_quiesce(); }
+using alloc::reclaim_quiesce;
+using alloc::ReclaimStats;
 
 // --- Cross-manager version vectors ---------------------------------------
 //

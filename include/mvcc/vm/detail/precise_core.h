@@ -29,7 +29,7 @@
 // The claim CAS makes "exactly one collector" a machine-checked fact: a
 // release racing the writer's sweep (or another release of the same
 // version) frees each version exactly once. That exactly-once claim is
-// also why deferred reclamation (vm/base.h MVCC_BG_RECLAIM) cannot
+// also why deferred reclamation (alloc/reclaim.h background lane) cannot
 // double-free: the client may delete a returned payload later and on
 // another thread, but each payload is RETURNED once, by one operation.
 //

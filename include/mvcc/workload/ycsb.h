@@ -10,7 +10,7 @@
 // (YCSB's "scrambled zipfian") so the hot keys are spread across the key
 // space instead of clustered at one end of the tree.
 //
-// Sizes are chosen by the caller, typically `base * env_scale()` (see
+// Sizes are chosen by the caller, typically `config().scaled(base)` (see
 // common/env.h), so the same binary runs at laptop and paper scale.
 #pragma once
 

@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <set>
@@ -15,7 +14,6 @@
 
 #include "mvcc/alloc/pool.h"
 #include "mvcc/alloc/reclaim.h"
-#include "mvcc/common/env.h"
 #include "mvcc/ftree/ops.h"
 
 namespace {
@@ -194,8 +192,8 @@ TEST(Alloc, DepotTransferUnderContention) {
 }
 
 TEST(Alloc, RoutingFallsBackToOperatorNewForLargeBlocks) {
-  // Blocks above kMaxBlockBytes bypass the pool entirely, whatever the
-  // MVCC_ALLOC route — allocate/deallocate must still pair up.
+  // Blocks above kMaxBlockBytes bypass the pool entirely —
+  // allocate/deallocate must still pair up.
   void* p = alloc::allocate(alloc::kMaxBlockBytes + 1);
   ASSERT_NE(p, nullptr);
   std::memset(p, 0xcd, alloc::kMaxBlockBytes + 1);
@@ -230,15 +228,15 @@ TEST(Alloc, ReclaimBatchInlineRunsDisposeNow) {
   std::vector<Probe*> dead;
   for (int i = 0; i < 10; ++i) dead.push_back(new Probe(&count));
   EXPECT_EQ(count, 10);
-  alloc::reclaim_batch(std::move(dead), alloc::ReclaimLane::kInline);
+  alloc::reclaim_payloads(std::move(dead));
   EXPECT_EQ(count, 0);
 }
 
 TEST(Alloc, ReclaimBatchBackgroundDrainsOnQuiesce) {
   std::vector<std::uint64_t*> dead;
   for (int i = 0; i < 64; ++i) dead.push_back(alloc::create<std::uint64_t>());
-  alloc::reclaim_batch(std::move(dead), alloc::ReclaimLane::kBackground,
-                       alloc::PoolDispose{});
+  alloc::reclaim_payloads(std::move(dead), alloc::PoolDispose{},
+                          alloc::ReclaimLane::kBackground);
   alloc::reclaim_quiesce();
   EXPECT_EQ(alloc::reclaim_queue_depth().load(), 0);
 }
@@ -273,26 +271,19 @@ TEST(Alloc, PackedNodeLayoutIsCompact) {
   EXPECT_LE(sizeof(Plain), alloc::kMaxBlockBytes);
 }
 
-TEST(AllocConfig, FromEnvParsesAllocKnobs) {
-  setenv("MVCC_ALLOC", "malloc", 1);
-  setenv("MVCC_SLAB_BYTES", "8192", 1);
-  Config c = Config::from_env();
-  EXPECT_FALSE(c.alloc_pooled);
-  EXPECT_EQ(c.slab_bytes, 8192u);
-  setenv("MVCC_ALLOC", "slab", 1);
-  c = Config::from_env();
-  EXPECT_TRUE(c.alloc_pooled);
-  unsetenv("MVCC_ALLOC");
-  unsetenv("MVCC_SLAB_BYTES");
+#ifdef MVCC_ALLOC_ASAN
+// ASan builds only: a free pooled block is poisoned, so freeing it again
+// aborts at the second deallocate instead of parking the block in two
+// magazines and handing it out twice.
+TEST(AllocDeathTest, DoubleFreeOfPooledBlockAborts) {
+  EXPECT_DEATH(
+      {
+        void* p = alloc::allocate(48);
+        alloc::deallocate(p, 48);
+        alloc::deallocate(p, 48);
+      },
+      "double free");
 }
-
-TEST(AllocConfig, SlabBytesClampsToSaneRange) {
-  setenv("MVCC_SLAB_BYTES", "1", 1);
-  EXPECT_EQ(Config::from_env().slab_bytes, std::size_t{1} << 12);
-  setenv("MVCC_SLAB_BYTES", "999999999", 1);
-  EXPECT_EQ(Config::from_env().slab_bytes, std::size_t{1} << 24);
-  unsetenv("MVCC_SLAB_BYTES");
-  EXPECT_EQ(Config::from_env().slab_bytes, std::size_t{1} << 16);
-}
+#endif
 
 }  // namespace

@@ -38,78 +38,49 @@ TEST(Env, DoubleDefaultsAndOverrides) {
 
 TEST(Env, ScaleMultipliesAndClampsToOne) {
   unsetenv("MVCC_SCALE");
-  EXPECT_EQ(env_scale(1000), 1000);
+  EXPECT_EQ(Config::from_env().scaled(1000), 1000);
   setenv("MVCC_SCALE", "2.5", 1);
-  EXPECT_EQ(env_scale(1000), 2500);
+  EXPECT_EQ(Config::from_env().scaled(1000), 2500);
   setenv("MVCC_SCALE", "0.0001", 1);
-  EXPECT_EQ(env_scale(1000), 1);  // positive base never scales to zero
+  // A positive base never scales to zero.
+  EXPECT_EQ(Config::from_env().scaled(1000), 1);
   unsetenv("MVCC_SCALE");
 }
 
 TEST(Env, ScaleNoArgReturnsRawMultiplier) {
   unsetenv("MVCC_SCALE");
-  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
+  EXPECT_DOUBLE_EQ(Config::from_env().scale, 1.0);
   setenv("MVCC_SCALE", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_scale(), 2.5);
+  EXPECT_DOUBLE_EQ(Config::from_env().scale, 2.5);
   setenv("MVCC_SCALE", "0.01", 1);
-  EXPECT_DOUBLE_EQ(env_scale(), 0.01);  // fractional scales pass through
+  // Fractional scales pass through.
+  EXPECT_DOUBLE_EQ(Config::from_env().scale, 0.01);
   setenv("MVCC_SCALE", "junk", 1);
-  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
+  EXPECT_DOUBLE_EQ(Config::from_env().scale, 1.0);
   unsetenv("MVCC_SCALE");
-}
-
-TEST(Env, GrainDefaultsOverridesAndRejectsNonPositive) {
-  unsetenv("MVCC_GRAIN");
-  EXPECT_EQ(env_grain(), 2048);
-  setenv("MVCC_GRAIN", "64", 1);
-  EXPECT_EQ(env_grain(), 64);
-  setenv("MVCC_GRAIN", "0", 1);
-  EXPECT_EQ(env_grain(), 2048);  // a grain of 0 would fork every node
-  setenv("MVCC_GRAIN", "-5", 1);
-  EXPECT_EQ(env_grain(), 2048);
-  setenv("MVCC_GRAIN", "junk", 1);
-  EXPECT_EQ(env_grain(), 2048);
-  unsetenv("MVCC_GRAIN");
 }
 
 TEST(Env, ThreadsIsPositive) {
   unsetenv("MVCC_THREADS");
-  EXPECT_GE(env_threads(), 1);
+  EXPECT_GE(Config::from_env().threads, 1);
   setenv("MVCC_THREADS", "5", 1);
-  EXPECT_EQ(env_threads(), 5);
+  EXPECT_EQ(Config::from_env().threads, 5);
   setenv("MVCC_THREADS", "-2", 1);
-  EXPECT_GE(env_threads(), 1);
+  EXPECT_GE(Config::from_env().threads, 1);
   unsetenv("MVCC_THREADS");
-}
-
-TEST(Env, GrainClampsTinyValuesToFloor) {
-  // Grains below kGrainFloor make bulk ops fork per handful of nodes; the
-  // parser clamps them up rather than letting a typo'd knob fall off a
-  // scheduling cliff. Non-positive values still mean "use the default".
-  setenv("MVCC_GRAIN", "1", 1);
-  EXPECT_EQ(env_grain(), kGrainFloor);
-  setenv("MVCC_GRAIN", "63", 1);
-  EXPECT_EQ(env_grain(), kGrainFloor);
-  setenv("MVCC_GRAIN", "64", 1);
-  EXPECT_EQ(env_grain(), 64);  // the floor itself passes through
-  unsetenv("MVCC_GRAIN");
 }
 
 TEST(Env, ConfigFromEnvSeedsEveryKnob) {
   setenv("MVCC_SCALE", "2.0", 1);
   setenv("MVCC_THREADS", "3", 1);
-  setenv("MVCC_GRAIN", "512", 1);
   Config c = Config::from_env();
   EXPECT_DOUBLE_EQ(c.scale, 2.0);
   EXPECT_EQ(c.threads, 3);
-  EXPECT_EQ(c.grain, 512);
-  EXPECT_TRUE(c.alloc_pooled);  // MVCC_ALLOC unset -> slab route
-  EXPECT_EQ(c.shards, 1);       // MVCC_SHARDS unset -> single shard
+  EXPECT_EQ(c.shards, 1);  // MVCC_SHARDS unset -> single shard
   EXPECT_EQ(c.scaled(1000), 2000);
   EXPECT_EQ(c.scaled(0), 0);  // zero base is exempt from the >=1 clamp
   unsetenv("MVCC_SCALE");
   unsetenv("MVCC_THREADS");
-  unsetenv("MVCC_GRAIN");
 }
 
 TEST(Env, ConfigShardsParsesAndClamps) {
@@ -135,12 +106,12 @@ TEST(Env, ConfigShardsParsesAndClamps) {
 
 TEST(Env, ReloadConfigReseedsTheProcessSingleton) {
   const Config saved = config();
-  setenv("MVCC_GRAIN", "4096", 1);
+  setenv("MVCC_SCALE", "4.0", 1);
   reload_config();
-  EXPECT_EQ(config().grain, 4096);
-  unsetenv("MVCC_GRAIN");
+  EXPECT_DOUBLE_EQ(config().scale, 4.0);
+  unsetenv("MVCC_SCALE");
   reload_config();
-  EXPECT_EQ(config().grain, saved.grain);
+  EXPECT_DOUBLE_EQ(config().scale, saved.scale);
 }
 
 TEST(Rng, DeterministicPerSeed) {

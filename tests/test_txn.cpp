@@ -355,28 +355,25 @@ TEST(TxnYcsb, MixesMatchTheirSpecs) {
 }
 
 // ---------------------------------------------------------------------------
-// Deferred (background) reclamation: MVCC_BG_RECLAIM routes the exact
-// freed sets off the flattener's critical path (vm/base.h); these tests
-// pin the precision guarantees (live_nodes back to baseline after the
-// destructor's quiesce, even with the lane backed up at shutdown) and the
-// latency win the mode exists for.
+// Deferred (background) reclamation: a commit of at least
+// txn::kDeferMinBatch ops hands its exact freed sets to the exec/ pool's
+// background lane (txn/batching.h); smaller commits and reader releases
+// free inline. These tests pin the precision guarantees (live_nodes back
+// to baseline after the destructor's quiesce, even with the lane backed
+// up at shutdown), the rule itself, and the latency win the lane exists
+// for. Maps built with max_batch=kDefer commit full kDefer-op batches
+// whenever the producer outruns the flattener.
 
-// Scoped override of the reclaim mode; restores the inline default so the
-// suites around these stay in the mode they were written for.
-struct BgReclaimGuard {
-  explicit BgReclaimGuard(bool on) { vm::set_bg_reclaim(on); }
-  ~BgReclaimGuard() { vm::set_bg_reclaim(false); }
-};
+constexpr std::size_t kDefer = txn::kDeferMinBatch;
 
 TEST(TxnReclaim, DeferredFreesDrainToBaselineAtTeardown) {
   const long long base_live = ftree::live_nodes();
   {
-    BgReclaimGuard bg(true);
-    PswfMap map(2, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/64);
-    for (std::uint64_t i = 0; i < 2000; ++i) {
+    PswfMap map(2, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
+    for (std::uint64_t i = 0; i < 16 * kDefer; ++i) {
       map.submit(static_cast<int>(i % 2), txn::BatchOp::kUpsert, i % 512, i);
       if (i % 97 == 0) {
-        // Reader releases route through the background lane too.
+        // Reader releases free inline while the commits defer.
         (void)map.get(static_cast<int>(i % 2), i % 512);
       }
     }
@@ -390,13 +387,12 @@ TEST(TxnReclaim, DeferredFreesDrainToBaselineAtTeardown) {
 TEST(TxnReclaim, ShutdownWithBackedUpLaneDoesNotLeak) {
   const long long base_live = ftree::live_nodes();
   {
-    BgReclaimGuard bg(true);
-    // max_batch=1 maximizes retirements: nearly every commit publishes a
-    // deferred batch, so the lane is still backed up when the destructor
-    // runs (no flush, no explicit quiesce — teardown must drain it; the
-    // ASan tier turns any miss into a leak report).
-    PswfMap map(1, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/1);
-    for (std::uint64_t i = 0; i < 1500; ++i) {
+    // Every full batch publishes a deferred freed set, and nothing waits
+    // for the lane before the destructor runs (no flush, no explicit
+    // quiesce — teardown must drain it; the ASan tier turns any miss into
+    // a leak report).
+    PswfMap map(1, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
+    for (std::uint64_t i = 0; i < 64 * kDefer; ++i) {
       map.submit(0, txn::BatchOp::kUpsert, i % 1024, i);
     }
   }
@@ -407,8 +403,7 @@ TEST(TxnReclaim, ShutdownWithBackedUpLaneDoesNotLeak) {
 TEST(TxnReclaim, ReadsStayCorrectWhileReclaimRunsBehind) {
   const long long base_live = ftree::live_nodes();
   {
-    BgReclaimGuard bg(true);
-    PswfMap map(2, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/32);
+    PswfMap map(2, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
     std::atomic<bool> stop{false};
     std::thread reader([&] {
       std::uint64_t last = 0;
@@ -424,15 +419,52 @@ TEST(TxnReclaim, ReadsStayCorrectWhileReclaimRunsBehind) {
         EXPECT_LE(txn.map().size(), 257u);
       }
     });
-    for (std::uint64_t i = 1; i <= 1200; ++i) {
+    // Each round is one full batch: kDefer - 1 async ops, then the sync
+    // write of key 7 that closes it.
+    for (std::uint64_t i = 1; i <= 200; ++i) {
+      for (std::uint64_t j = 0; j + 1 < kDefer; ++j) {
+        map.submit(0, txn::BatchOp::kUpsert, j % 256 + 100, i);
+      }
       map.upsert_sync(0, 7, i);
-      map.submit(0, txn::BatchOp::kUpsert, i % 256 + 100, i);
     }
     stop.store(true, std::memory_order_release);
     reader.join();
   }
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
+
+#if !defined(MVCC_STATS_DISABLED)
+TEST(TxnReclaim, LaneFollowsTheCommittedBatchSize) {
+  obs::set_enabled(true);
+  obs::Counter& deferred = obs::registry().counter("reclaim/deferred");
+  {
+    PswfMap map(1, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
+    // A 1-op commit retires the previous version inline.
+    std::uint64_t d0 = deferred.value();
+    map.upsert_sync(0, 1, 1);
+    EXPECT_EQ(deferred.value(), d0);
+    // A round of exactly kDefer ops defers its freed set. The flattener
+    // splits a round when the producer stalls mid-burst, so retry until
+    // one round commits as a single batch.
+    bool single_batch = false;
+    for (std::uint64_t round = 0; round < 100 && !single_batch; ++round) {
+      const std::uint64_t b0 = map.batches_committed();
+      d0 = deferred.value();
+      for (std::uint64_t j = 0; j + 1 < kDefer; ++j) {
+        map.submit(0, txn::BatchOp::kUpsert, j, round);
+      }
+      map.upsert_sync(0, kDefer, round);
+      single_batch = map.batches_committed() == b0 + 1;
+      if (single_batch) {
+        EXPECT_GT(deferred.value(), d0);
+      }
+    }
+    EXPECT_TRUE(single_batch);
+  }
+  obs::set_enabled(false);
+  EXPECT_EQ(vm::reclaim_queue_depth().load(), 0);
+}
+#endif
 
 // Retired-value payload with a deliberately expensive last-reference
 // destructor. shared_ptr copies (ring slots, path-copied tree nodes) cost
@@ -447,59 +479,71 @@ struct SlowToFree {
 };
 
 // p99 submit-to-visible latency of upsert_sync under heavy-destructor
-// payloads: inline reclaim pays every retirement on the commit path the
-// sync waiter is parked on; deferred reclaim publishes it to the
-// background lane in O(1).
-double p99_sync_commit_us(bool bg_reclaim) {
+// payloads, over rounds of `round_ops` ops that each commit as one batch:
+// below kDeferMinBatch the commit the sync waiter is parked on pays every
+// retirement inline; at kDeferMinBatch it publishes them to the background
+// lane in O(1). A round the flattener split (the producer stalled
+// mid-burst) commits smaller batches, so it is not sampled; `samples`
+// reports how many rounds were.
+double p99_sync_commit_us(std::uint64_t round_ops, std::uint64_t* samples) {
   using Slow = std::shared_ptr<SlowToFree>;
   using NMap = txn::BatchingMap<std::uint64_t, Slow,
                                 ftree::NoAug<std::uint64_t, Slow>,
                                 vm::PswfVersionManager>;
-  // Keys recycle every 4 rounds (512 ops) while the 256-slot ring drops
-  // its value copy after 256 ops, so by the time a key is overwritten the
+  // Keys recycle every 4 rounds while the ring (2 rounds deep) drops its
+  // value copy after 2 rounds, so by the time a key is overwritten the
   // retired version holds the LAST reference and the sweep runs the
   // destructor. A ring deeper than the recycle distance would keep values
   // alive past retirement and hide the very cost this test measures.
   constexpr int kWarmRounds = 6;  // recycling starts on round 4
-  constexpr int kMeasuredRounds = 32;
-  constexpr std::uint64_t kOpsPerRound = 128;
-  constexpr std::uint64_t kKeySpace = 512;
-  BgReclaimGuard bg(bg_reclaim);
+  constexpr std::uint64_t kMeasuredRounds = 32;
+  constexpr int kMaxRounds = kWarmRounds + 8 * kMeasuredRounds;
+  const std::uint64_t key_space = 4 * round_ops;
   obs::LatencyHistogram lat;
-  NMap map(1, {}, /*buffer_capacity=*/256, /*max_batch=*/256);
+  NMap map(1, {}, /*buffer_capacity=*/2 * round_ops,
+           /*max_batch=*/2 * round_ops);
   std::uint64_t key = 0;
-  for (int r = 0; r < kWarmRounds + kMeasuredRounds; ++r) {
-    for (std::uint64_t i = 0; i + 1 < kOpsPerRound; ++i, ++key) {
-      map.submit(0, txn::BatchOp::kUpsert, key % kKeySpace,
+  for (int r = 0; r < kMaxRounds && lat.count() < kMeasuredRounds; ++r) {
+    const std::uint64_t batches0 = map.batches_committed();
+    for (std::uint64_t i = 0; i + 1 < round_ops; ++i, ++key) {
+      map.submit(0, txn::BatchOp::kUpsert, key % key_space,
                  std::make_shared<SlowToFree>());
     }
-    // The submit burst above took microseconds; in inline mode the
-    // flattener cannot have swept this round's ~127 retirements yet (each
-    // sleeps kRetireCost), so this wait provably includes most of them.
+    // The submit burst above took microseconds; an inline sweep cannot
+    // have freed this round's retirements yet (each sleeps kRetireCost),
+    // so this wait provably includes most of them.
     Timer t;
-    map.upsert_sync(0, key % kKeySpace, Slow{});
+    map.upsert_sync(0, key % key_space, Slow{});
+    const std::uint64_t nanos = t.nanos();
     ++key;
-    if (r >= kWarmRounds) lat.record(t.nanos());
+    if (r >= kWarmRounds && map.batches_committed() == batches0 + 1) {
+      lat.record(nanos);
+    }
   }
   map.flush_all();
+  *samples = lat.count();
   return lat.quantile(0.99) / 1000.0;
 }
 
 TEST(ReclaimLatency, SyncCommitP99DoesNotInheritRetirementFrees) {
   const long long base_live = ftree::live_nodes();
-  const double inline_p99_us = p99_sync_commit_us(false);
-  const double bg_p99_us = p99_sync_commit_us(true);
+  std::uint64_t inline_samples = 0;
+  std::uint64_t bg_samples = 0;
+  const double inline_p99_us = p99_sync_commit_us(kDefer / 2, &inline_samples);
+  const double bg_p99_us = p99_sync_commit_us(kDefer, &bg_samples);
   RecordProperty("inline_p99_us", static_cast<int>(inline_p99_us));
   RecordProperty("bg_p99_us", static_cast<int>(bg_p99_us));
-  // Inline mode's p99 has a hard floor of several milliseconds (a round's
-  // worth of kRetireCost destructor sleeps on the commit path); deferred
-  // mode's p99 is ordinary commit latency, orders of magnitude below it.
+  EXPECT_GT(inline_samples, 0u);
+  EXPECT_GT(bg_samples, 0u);
+  // Inline commits' p99 has a hard floor of several milliseconds (a
+  // round's worth of kRetireCost destructor sleeps on the commit path);
+  // deferred commits' p99 is ordinary commit latency, far below it.
   EXPECT_GT(inline_p99_us, 1000.0)
       << "workload no longer puts retirement frees on the sync path";
   EXPECT_LT(bg_p99_us, inline_p99_us)
       << "inline p99 " << inline_p99_us << "us vs bg p99 " << bg_p99_us
       << "us";
-  // Both modes stay precise: everything freed once both maps are gone.
+  // Both lanes stay precise: everything freed once both maps are gone.
   EXPECT_EQ(ftree::live_nodes(), base_live);
   EXPECT_EQ(vm::reclaim_queue_depth().load(), 0);
 }

@@ -398,9 +398,9 @@ void RunWorkloadSmoke() {
 }
 
 // ---------------------------------------------------------------------------
-// reclaim_payloads / reclaim_quiesce (vm/base.h): the deferred-reclaim
-// plumbing frees every payload exactly once in either mode. Double frees
-// would drive the live counter negative (and trip ASan); leaks leave it
+// reclaim_payloads / reclaim_quiesce (alloc/reclaim.h): the reclaim seam
+// frees every payload exactly once on either lane. Double frees would
+// drive the live counter negative (and trip ASan); leaks leave it
 // positive.
 
 struct CountedPayload {
@@ -410,8 +410,10 @@ struct CountedPayload {
 };
 std::atomic<int> CountedPayload::live{0};
 
+using mvcc::alloc::DeleteDispose;
+constexpr auto kBg = mvcc::alloc::ReclaimLane::kBackground;
+
 TEST(VmReclaim, InlineModeFreesImmediately) {
-  set_bg_reclaim(false);
   std::vector<CountedPayload*> batch;
   for (int i = 0; i < 50; ++i) batch.push_back(new CountedPayload());
   EXPECT_EQ(CountedPayload::live.load(), 50);
@@ -421,14 +423,12 @@ TEST(VmReclaim, InlineModeFreesImmediately) {
 }
 
 TEST(VmReclaim, DeferredModeFreesExactlyOnceAfterQuiesce) {
-  set_bg_reclaim(true);
   for (int round = 0; round < 20; ++round) {
     std::vector<CountedPayload*> batch;
     for (int i = 0; i < 40; ++i) batch.push_back(new CountedPayload());
-    reclaim_payloads(std::move(batch));
+    reclaim_payloads(std::move(batch), DeleteDispose{}, kBg);
   }
   reclaim_quiesce();
-  set_bg_reclaim(false);
   EXPECT_EQ(CountedPayload::live.load(), 0);
   EXPECT_EQ(reclaim_queue_depth().load(), 0);
 }
@@ -438,27 +438,25 @@ TEST(VmReclaim, PreciseFreedSetsStayExactWhenDeferred) {
   // returned freed set routed through the background lane: the claim CAS
   // hands each payload back exactly once, so deferral frees each exactly
   // once — the live counter lands on zero, never below.
-  set_bg_reclaim(true);
   {
     PswfVersionManager<CountedPayload> vm(2, new CountedPayload());
     std::atomic<bool> stop{false};
     std::thread reader([&] {
       while (!stop.load(std::memory_order_acquire)) {
         (void)vm.acquire(1);
-        reclaim_payloads(vm.release(1));
+        reclaim_payloads(vm.release(1), DeleteDispose{}, kBg);
       }
     });
     for (int i = 0; i < 3000; ++i) {
       (void)vm.acquire(0);
-      reclaim_payloads(vm.set(0, new CountedPayload()));
-      reclaim_payloads(vm.release(0));
+      reclaim_payloads(vm.set(0, new CountedPayload()), DeleteDispose{}, kBg);
+      reclaim_payloads(vm.release(0), DeleteDispose{}, kBg);
     }
     stop.store(true, std::memory_order_release);
     reader.join();
     for (CountedPayload* p : vm.shutdown_drain()) delete p;
   }
   reclaim_quiesce();
-  set_bg_reclaim(false);
   EXPECT_EQ(CountedPayload::live.load(), 0);
   EXPECT_EQ(reclaim_queue_depth().load(), 0);
 }
