@@ -23,7 +23,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,7 +35,6 @@
 #include "mvcc/baselines/skiplist.h"
 #include "mvcc/common/timing.h"
 #include "mvcc/obs/obs.h"
-#include "mvcc/txn/batching.h"
 #include "mvcc/txn/sharded.h"
 #include "mvcc/vm/base.h"
 #include "mvcc/vm/pswf.h"
@@ -48,6 +47,11 @@ using workload::YcsbOp;
 using workload::YcsbSpec;
 using workload::YcsbStream;
 using workload::ZipfGenerator;
+
+template <template <typename> class VMImpl>
+using OursMap =
+    txn::ShardedMap<std::uint64_t, std::uint64_t,
+                    ftree::NoAug<std::uint64_t, std::uint64_t>, VMImpl>;
 
 struct CellConfig {
   std::uint64_t keys;
@@ -62,11 +66,27 @@ struct CellResult {
   double upd_us[3] = {0, 0, 0};
 };
 
-struct alignas(64) PaddedCount {
-  std::atomic<std::uint64_t> v{0};
+// Ops each worker has issued, one cache line per worker, summed on read.
+class OpCounts {
+ public:
+  explicit OpCounts(int threads) : c_(static_cast<std::size_t>(threads)) {}
+  void set(int t, std::uint64_t ops) {
+    c_[static_cast<std::size_t>(t)].v.store(ops, std::memory_order_relaxed);
+  }
+  std::uint64_t total() const {
+    std::uint64_t s = 0;
+    for (const auto& c : c_) s += c.v.load(std::memory_order_relaxed);
+    return s;
+  }
+
+ private:
+  struct alignas(64) Padded {
+    std::atomic<std::uint64_t> v{0};
+  };
+  std::vector<Padded> c_;
 };
 
-// Steady-state harness shared by every structure. Adapter provides
+// Steady-state cell shared by every structure. Adapter provides
 // read(t, key) -> sink contribution and update(t, key, val); finish() runs
 // after the workers join, outside the measured window.
 template <class Adapter>
@@ -74,69 +94,46 @@ CellResult run_cell(Adapter& ad, const YcsbSpec& spec,
                     const ZipfGenerator& zipf, const CellConfig& cfg,
                     const std::string& label) {
   constexpr std::uint64_t kSampleMask = 63;  // every 64th op in the window
-  std::atomic<bool> stop{false};
-  std::atomic<bool> measuring{false};
   std::atomic<std::uint64_t> sink{0};
-  std::vector<PaddedCount> counts(static_cast<std::size_t>(cfg.threads));
+  OpCounts counts(cfg.threads);
   obs::LatencyHistogram read_lat;
   obs::LatencyHistogram upd_lat;
 
   // Opened before the workers spawn: perf inherit only covers threads
   // created after the counters exist. Reports perf/<label>/* on scope exit.
   obs::PerfCell perf(label);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < cfg.threads; ++t) {
-    threads.emplace_back([&, t] {
-      YcsbStream stream(spec, zipf, 1000 + static_cast<std::uint64_t>(t));
-      std::uint64_t local = 0;
-      std::uint64_t ops = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        auto op = stream.next();
-        const bool sample = measuring.load(std::memory_order_relaxed) &&
-                            (ops & kSampleMask) == kSampleMask;
-        if (op.type == YcsbOp::kRead) {
-          if (sample) {
+  const bench::Window w = bench::steady_state(
+      cfg.threads, cfg.warmup, cfg.seconds,
+      [&](int t, const bench::Phase& phase) {
+        YcsbStream stream(spec, zipf, 1000 + static_cast<std::uint64_t>(t));
+        std::uint64_t local = 0;
+        std::uint64_t ops = 0;
+        while (phase.running()) {
+          const auto op = stream.next();
+          const bool read = op.type == YcsbOp::kRead;
+          auto issue = [&] {
+            if (read) {
+              local += ad.read(t, op.key);
+            } else {
+              ad.update(t, op.key, ops);
+            }
+          };
+          if (phase.measuring() && (ops & kSampleMask) == kSampleMask) {
             Timer tm;
-            local += ad.read(t, op.key);
-            read_lat.record(tm.nanos());
+            issue();
+            (read ? read_lat : upd_lat).record(tm.nanos());
           } else {
-            local += ad.read(t, op.key);
+            issue();
           }
-        } else {
-          if (sample) {
-            Timer tm;
-            ad.update(t, op.key, ops);
-            upd_lat.record(tm.nanos());
-          } else {
-            ad.update(t, op.key, ops);
-          }
+          counts.set(t, ++ops);
         }
-        ++ops;
-        counts[static_cast<std::size_t>(t)].v.store(
-            ops, std::memory_order_relaxed);
-      }
-      sink.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-
-  auto total = [&] {
-    std::uint64_t s = 0;
-    for (const auto& c : counts) s += c.v.load(std::memory_order_relaxed);
-    return s;
-  };
-  std::this_thread::sleep_for(std::chrono::duration<double>(cfg.warmup));
-  measuring.store(true, std::memory_order_relaxed);
-  obs::Delta window_ops(total);
-  Timer timer;
-  std::this_thread::sleep_for(std::chrono::duration<double>(cfg.seconds));
-  const std::uint64_t ops = window_ops.delta();
-  const double secs = timer.seconds();
-  stop.store(true, std::memory_order_release);
-  for (auto& t : threads) t.join();
+        sink.fetch_add(local, std::memory_order_relaxed);
+      },
+      {[&counts] { return counts.total(); }});
   ad.finish();
 
   CellResult r;
-  r.mops = static_cast<double>(ops) / secs / 1e6;
+  r.mops = w.mops(0);
   const double qs[3] = {0.50, 0.99, 0.999};
   for (int i = 0; i < 3; ++i) {
     r.read_us[i] = read_lat.quantile(qs[i]) / 1e3;
@@ -166,10 +163,11 @@ CellResult run_plain(M& m, const YcsbSpec& spec, const ZipfGenerator& zipf,
   return run_cell(ad, spec, zipf, cfg, label);
 }
 
-// Our batched multiversion map: reads acquire the current version through
-// the VM, updates are submissions to the batching writer; the final flush
-// runs outside the window (at steady state admission control ties the
-// submit rate to the commit rate, so counting submits is fair).
+// Our batched multiversion map, one shard (the paper's single batched
+// writer): reads acquire the current version through the VM, updates are
+// submissions to the batching writer; the final flush runs outside the
+// window (at steady state admission control ties the submit rate to the
+// commit rate, so counting submits is fair).
 //
 // The paper's Figure 7 turns GC off for every structure ("we are interested
 // in the performance of the trees and not the GC"), which for ours means
@@ -179,15 +177,12 @@ CellResult run_plain(M& m, const YcsbSpec& spec, const ZipfGenerator& zipf,
 template <template <typename> class VMImpl>
 CellResult run_ours(const YcsbSpec& spec, const ZipfGenerator& zipf,
                     const CellConfig& cfg, const std::string& label) {
-  using BMap = txn::BatchingMap<std::uint64_t, std::uint64_t,
-                                ftree::NoAug<std::uint64_t, std::uint64_t>,
-                                VMImpl>;
-  auto dataset = workload::ycsb_dataset(cfg.keys);
-  BMap map(cfg.threads, BMap::Map::from_entries(std::move(dataset)),
-           /*buffer_capacity=*/1 << 14);
+  using Map = OursMap<VMImpl>;
+  Map map(cfg.threads, workload::ycsb_dataset(cfg.keys), /*shards=*/1,
+          /*buffer_capacity=*/1 << 14);
 
   struct Adapter {
-    BMap& m;
+    Map& m;
     std::uint64_t read(int t, std::uint64_t k) {
       auto v = m.get(t, k);
       return v.has_value() ? *v : 0;
@@ -219,10 +214,6 @@ struct ShardedCell {
 };
 
 ShardedCell run_sharded(int nshards, const CellConfig& cfg) {
-  using SMap =
-      txn::ShardedMap<std::uint64_t, std::uint64_t,
-                      ftree::NoAug<std::uint64_t, std::uint64_t>,
-                      vm::PswfVersionManager>;
   constexpr std::uint64_t kSnapshotMask = 8191;  // every 8192nd op
   workload::PartitionedYcsb part(workload::kYcsbA, cfg.keys, cfg.threads);
   std::vector<std::vector<YcsbOp>> streams;
@@ -231,57 +222,40 @@ ShardedCell run_sharded(int nshards, const CellConfig& cfg) {
     streams.push_back(part.stream(t, std::size_t{1} << 15));
   }
   obs::PerfCell perf("sharded/s" + std::to_string(nshards));
-  SMap map(cfg.threads, workload::ycsb_dataset(cfg.keys), nshards);
+  OursMap<vm::PswfVersionManager> map(
+      cfg.threads, workload::ycsb_dataset(cfg.keys), nshards);
 
-  std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> sink{0};
-  std::vector<PaddedCount> counts(static_cast<std::size_t>(cfg.threads));
-  std::vector<std::thread> threads;
-  for (int t = 0; t < cfg.threads; ++t) {
-    threads.emplace_back([&, t] {
-      const auto& stream = streams[static_cast<std::size_t>(t)];
-      std::uint64_t local = 0;
-      std::uint64_t ops = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        const YcsbOp& op = stream[ops % stream.size()];
-        if ((ops & kSnapshotMask) == kSnapshotMask) {
-          auto snap = map.snapshot(t);
-          const std::uint64_t* v = snap.find(op.key);
-          local += v != nullptr ? *v : 0;
-        } else if (op.type == YcsbOp::kRead) {
-          auto v = map.get(t, op.key);
-          local += v.has_value() ? *v : 0;
-        } else {
-          map.submit(t, txn::BatchOp::kUpsert, op.key, ops);
+  OpCounts counts(cfg.threads);
+  const bench::Window w = bench::steady_state(
+      cfg.threads, cfg.warmup, cfg.seconds,
+      [&](int t, const bench::Phase& phase) {
+        const auto& stream = streams[static_cast<std::size_t>(t)];
+        std::uint64_t local = 0;
+        std::uint64_t ops = 0;
+        while (phase.running()) {
+          const YcsbOp& op = stream[ops % stream.size()];
+          if ((ops & kSnapshotMask) == kSnapshotMask) {
+            auto snap = map.snapshot(t);
+            const std::uint64_t* v = snap.find(op.key);
+            local += v != nullptr ? *v : 0;
+          } else if (op.type == YcsbOp::kRead) {
+            auto v = map.get(t, op.key);
+            local += v.has_value() ? *v : 0;
+          } else {
+            map.submit(t, txn::BatchOp::kUpsert, op.key, ops);
+          }
+          counts.set(t, ++ops);
         }
-        ++ops;
-        counts[static_cast<std::size_t>(t)].v.store(
-            ops, std::memory_order_relaxed);
-      }
-      sink.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-
-  auto total = [&] {
-    std::uint64_t s = 0;
-    for (const auto& c : counts) s += c.v.load(std::memory_order_relaxed);
-    return s;
-  };
-  std::this_thread::sleep_for(std::chrono::duration<double>(cfg.warmup));
-  obs::Delta issued(total);
-  obs::Delta committed([&map] { return map.ops_committed(); });
-  Timer timer;
-  std::this_thread::sleep_for(std::chrono::duration<double>(cfg.seconds));
-  const std::uint64_t ops = issued.delta();
-  const std::uint64_t upd = committed.delta();
-  const double secs = timer.seconds();
-  stop.store(true, std::memory_order_release);
-  for (auto& t : threads) t.join();
+        sink.fetch_add(local, std::memory_order_relaxed);
+      },
+      {[&counts] { return counts.total(); },
+       [&map] { return map.ops_committed(); }});
   map.flush_all();
 
   ShardedCell r;
-  r.mops = static_cast<double>(ops) / secs / 1e6;
-  r.upd_mops = static_cast<double>(upd) / secs / 1e6;
+  r.mops = w.mops(0);
+  r.upd_mops = w.mops(1);
   r.snapshots = map.snapshots_taken();
   r.snap_retries = map.snapshot_retries();
   return r;
@@ -369,16 +343,6 @@ int main() {
   }
   lat.print();
 
-  // Sharded scale-out: MVCC_SHARDS pins a single count (CI runs one
-  // process per count for crash isolation); unset sweeps 1/2/4 so one run
-  // prints the whole scaling table.
-  std::vector<int> shard_counts;
-  const long forced_shards = env_long("MVCC_SHARDS", 0);
-  if (forced_shards > 0) {
-    shard_counts.push_back(static_cast<int>(forced_shards));
-  } else {
-    shard_counts = {1, 2, 4};
-  }
   bench::print_header(
       "Sharded YCSB A scale-out (partitioned driver, update = committed)");
   std::printf("(keys=%llu producers=%d warmup=%.2fs measure=%.2fs per row; "
@@ -387,7 +351,7 @@ int main() {
               cfg.warmup, cfg.seconds);
   bench::Table sharded_table(
       {"shards", "mops", "upd_mops", "snapshots", "snap_retries"});
-  for (int n : shard_counts) {
+  for (int n : bench::shard_counts()) {
     std::fprintf(stderr, "fig7: sharded shards=%d...\n", n);
     const ShardedCell r = run_sharded(n, cfg);
     sharded_table.add_row({std::to_string(n), bench::fmt(r.mops),

@@ -1,18 +1,24 @@
-// Shared helpers for the experiment binaries: table formatting and scale
-// knobs. Every bench prints the same rows/series as the paper's table or
-// figure it regenerates, at a machine-appropriate default scale
-// (MVCC_SCALE, MVCC_SECONDS, MVCC_WARMUP_SECONDS, MVCC_READERS environment
-// variables scale up).
+// Shared helpers for the experiment binaries: table formatting, scale
+// knobs and the steady-state measurement loop. Every bench prints the same
+// rows/series as the paper's table or figure it regenerates, at a
+// machine-appropriate default scale (MVCC_SCALE, MVCC_SECONDS,
+// MVCC_WARMUP_SECONDS, MVCC_READERS environment variables scale up).
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "mvcc/alloc/pool.h"
 #include "mvcc/common/env.h"
+#include "mvcc/common/timing.h"
 #include "mvcc/ftree/ops.h"
 #include "mvcc/obs/obs.h"
 #include "mvcc/txn/batching.h"
@@ -95,6 +101,72 @@ inline double warmup_seconds() {
 // Reader thread count for the Table 2 / Figure 6 harness (paper: 140).
 inline int reader_threads() {
   return static_cast<int>(env_long("MVCC_READERS", 3));
+}
+
+// Shard counts the sharded sweeps run: MVCC_SHARDS pins one count (CI runs
+// one process per count, so a crash names the count that caused it);
+// unset sweeps 1/2/4 so one run prints the whole scaling table.
+inline std::vector<int> shard_counts() {
+  const long forced = env_long("MVCC_SHARDS", 0);
+  if (forced > 0) return {static_cast<int>(forced)};
+  return {1, 2, 4};
+}
+
+// A steady_state worker's view of the run: loop while running(), and
+// record latency samples only while measuring().
+class Phase {
+ public:
+  Phase(const std::atomic<bool>& stop, const std::atomic<bool>& measuring)
+      : stop_(stop), measuring_(measuring) {}
+  bool running() const { return !stop_.load(std::memory_order_acquire); }
+  bool measuring() const {
+    return measuring_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  const std::atomic<bool>& stop_;
+  const std::atomic<bool>& measuring_;
+};
+
+// The measured window of a steady_state run: its length and how much each
+// counter grew over it, in the order the counters were passed.
+struct Window {
+  double seconds = 0;
+  std::vector<std::uint64_t> deltas;
+
+  double mops(std::size_t i) const {
+    return static_cast<double>(deltas[i]) / seconds / 1e6;
+  }
+};
+
+// The skeleton of every duration-based bench cell (ScaleStore-driver
+// style): spawns `threads` workers running body(t, phase) until
+// phase.running() turns false, lets them warm up for `warmup` seconds,
+// raises phase.measuring(), opens a delta over each of `counters`, measures
+// for `seconds`, then stops and joins the workers. Flushing the structure
+// is left to the caller, outside the window.
+template <class Body>
+Window steady_state(int threads, double warmup, double seconds, Body&& body,
+                    std::vector<std::function<std::uint64_t()>> counters) {
+  std::atomic<bool> stop{false};
+  std::atomic<bool> measuring{false};
+  const Phase phase(stop, measuring);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&body, &phase, t] { body(t, phase); });
+  }
+  std::this_thread::sleep_for(std::chrono::duration<double>(warmup));
+  measuring.store(true, std::memory_order_relaxed);
+  std::vector<obs::Delta<std::function<std::uint64_t()>>> open;
+  for (auto& c : counters) open.emplace_back(std::move(c));
+  Timer timer;
+  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+  Window w;
+  for (const auto& d : open) w.deltas.push_back(d.delta());
+  w.seconds = timer.seconds();
+  stop.store(true, std::memory_order_release);
+  for (auto& t : workers) t.join();
+  return w;
 }
 
 // Per-process observability session for the experiment binaries: construct

@@ -21,19 +21,15 @@
 //   MVCC_PERF     1 opens perf_event hardware counters per bench cell
 //                 (see obs/perf.h; silent no-op where the syscall is
 //                 unavailable)                                 (default 0)
-//   MVCC_SHARDS   shard count for the sharded multi-writer front-end
-//                 (txn/sharded.h): the key space is hash-partitioned
-//                 across this many independent BatchingMap shards, each
-//                 with its own flattener and version manager. Clamped to
-//                 [1, 256]; latched at the first ShardedMap construction
-//                 so a reload_config() mid-process cannot leave two maps
-//                 disagreeing about the shard topology the sharded/*
-//                 metrics are keyed by                         (default 1)
+//   MVCC_SHARDS   bench_fig7/bench_batching: run only this shard count
+//                 instead of sweeping 1/2/4           (default: sweep)
 //
+// Library code reads only MVCC_SCALE and MVCC_THREADS (through config()).
 // Execution policies are compile-time constants: the fork-join grain
 // (ftree/ops.h kBulkGrain), the slab size (alloc/pool.h kDefaultSlabBytes)
 // and the reclaim lane, which txn/batching.h picks from the committed
-// batch size (kDeferMinBatch).
+// batch size (kDeferMinBatch). A txn::ShardedMap's shard count is its
+// constructor argument.
 #pragma once
 
 #include <cstdlib>
@@ -76,14 +72,6 @@ inline int parse_threads() {
   return static_cast<int>(v > 0 ? v : 1);
 }
 
-// MVCC_SHARDS clamped to [1, 256]: a shard is a whole flattener thread plus
-// a version manager, so counts beyond a few hundred are a misconfiguration,
-// not a scale-up.
-inline int parse_shards() {
-  const long v = env_long("MVCC_SHARDS", 1);
-  return static_cast<int>(v < 1 ? 1 : (v > 256 ? 256 : v));
-}
-
 }  // namespace detail
 
 // --- Consolidated runtime configuration ------------------------------------
@@ -95,7 +83,6 @@ inline int parse_shards() {
 struct Config {
   double scale = 1.0;  // MVCC_SCALE
   int threads = 1;     // MVCC_THREADS (floored at 1)
-  int shards = 1;      // MVCC_SHARDS (clamped to [1, 256])
 
   // Scales a base structure size by `scale`; never returns less than 1 for
   // a positive base, so the result is always a usable element count.
@@ -108,15 +95,13 @@ struct Config {
     Config c;
     c.scale = detail::parse_scale();
     c.threads = detail::parse_threads();
-    c.shards = detail::parse_shards();
     return c;
   }
 };
 
 // The process-wide configuration, seeded from the environment on first
 // call. Set overriding env vars before the first library use (or call
-// reload_config()); note that the shard count latches at the first
-// ShardedMap construction (txn/sharded.h).
+// reload_config()).
 inline Config& config() {
   static Config c = Config::from_env();
   return c;

@@ -57,7 +57,7 @@ class Counter {
 // Snapshot/delta helper for steady-state measurement windows: captures a
 // monotone source's value at construction, delta() re-reads it. The source
 // is any callable returning uint64 — an obs::Counter (via snapshot below),
-// a BatchingMap accessor, a sum over per-thread op counts — so benches
+// a ShardedMap accessor, a sum over per-thread op counts — so benches
 // stop hand-rolling "value at measure start" subtractions.
 template <class F>
 class Delta {

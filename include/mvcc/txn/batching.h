@@ -1,6 +1,7 @@
-// Batched multi-writer front-end over the functional tree — the paper's
-// Section 5 / Appendix F architecture and the write path behind Figure 7's
-// "ours" columns.
+// Batched multi-writer engine over the functional tree — the paper's
+// Section 5 / Appendix F architecture. detail::BatchingMap is the per-shard
+// engine behind txn::ShardedMap (txn/sharded.h), the public write
+// front-end; nothing outside txn/ names it.
 //
 // Concurrent producers never touch the tree. Each producer p owns a
 // single-producer/single-consumer ring buffer it fills with BatchOps; one
@@ -16,9 +17,10 @@
 //   * submit/upsert_sync for a given producer index p must come from one
 //     thread at a time (the rings are SPSC); distinct producers are fully
 //     concurrent.
-//   * get/read_txn pin VM slot p; a slot must not be acquired from two
-//     threads at once, but the same thread may freely interleave its
-//     submits and reads on its own index.
+//   * get/read_txn pin VM slot p, 0 <= p < producers (slot `producers` is
+//     the flattener's); a slot must not be acquired from two threads at
+//     once, but the same thread may freely interleave its submits and
+//     reads on its own index.
 //   * vm.set is called only by the flattener, satisfying the external
 //     single-writer serialization the VM contract (vm/base.h) requires.
 //   * Version payloads (Map objects) are owned here and created through
@@ -63,8 +65,8 @@
 
 namespace mvcc::txn {
 
-// Registry handles for the batching front-end, looked up once and shared
-// by every BatchingMap instantiation (the telemetry is a process-wide
+// Registry handles for the batching engine, looked up once and shared
+// by every shard of every map (the telemetry is a process-wide
 // aggregate, like ftree::live_nodes). Touched only under obs::enabled().
 //
 //   txn/batch_size            ops folded into each published version
@@ -89,12 +91,12 @@ struct BatchingStats {
 };
 
 // Ops submitted but not yet drained by a flattener, summed across every
-// live BatchingMap — the queue depth the footprint sampler plots.
+// live shard — the queue depth the footprint sampler plots.
 // Maintained only under obs::enabled() (producers are the hot path).
 inline std::atomic<std::int64_t> g_queue_depth{0};
 
 // Registers the queue-depth probe with the obs sampler. Idempotent;
-// called by every BatchingMap constructor and by the bench glue (the
+// called by every shard's constructor and by the bench glue (the
 // latter so the column exists even when the sampler starts before the
 // first map is built).
 inline void register_txn_probes() {
@@ -117,10 +119,17 @@ inline constexpr std::size_t kDeferMinBatch = 256;
 // leaves room for deletes once the tree grows a bulk difference path.
 enum class BatchOp : std::uint8_t { kUpsert };
 
-// K and V must be default-constructible and copyable (they live in ring
-// slots); Aug is any ftree augmentation; VMImpl is a vm/ algorithm template
-// (e.g. vm::PswfVersionManager for precise GC, vm::BaseVersionManager for
-// the GC-off ablation).
+namespace detail {
+
+// The one wait policy of txn/: poll `done`, yielding the core between
+// polls. Admission control, sync commits, flushes and the cross-shard
+// epoch all wait here.
+template <class Pred>
+void wait_until(Pred&& done) {
+  while (!done()) std::this_thread::yield();
+}
+
+// Template parameters as for txn::ShardedMap (txn/sharded.h).
 template <class K, class V, class Aug, template <class> class VMImpl>
 class BatchingMap {
  public:
@@ -128,20 +137,6 @@ class BatchingMap {
   using Entry = typename Map::Entry;
   using VM = VMImpl<Map>;
   static_assert(vm::VersionManagerFor<VM, Map>);
-
-  // A pinned consistent snapshot. The FMap copy holds the version's nodes
-  // alive by reference count, independent of the VM, so a ReadTxn may
-  // outlive any number of later commits at zero cost to the writer.
-  class ReadTxn {
-   public:
-    const Map& map() const { return snap_; }
-    const Map* operator->() const { return &snap_; }
-
-   private:
-    friend class BatchingMap;
-    explicit ReadTxn(Map snap) : snap_(std::move(snap)) {}
-    Map snap_;
-  };
 
   BatchingMap(int producers, Map initial,
               std::size_t buffer_capacity = std::size_t{1} << 14,
@@ -181,9 +176,9 @@ class BatchingMap {
   BatchingMap(const BatchingMap&) = delete;
   BatchingMap& operator=(const BatchingMap&) = delete;
 
-  // Quiescent teardown: callers must have stopped submitting and dropped
-  // their ReadTxns' pins on the manager (held snapshots stay valid — they
-  // own their nodes). Commits everything still buffered, drains the
+  // Quiescent teardown: callers must have stopped submitting and released
+  // their pins on the manager (held snapshots stay valid — they own their
+  // nodes). Commits everything still buffered, drains the
   // background reclaim lane (deferred frees from those commits — even a
   // backed-up lane is fully freed before this returns), then frees every
   // version the manager tracks.
@@ -204,10 +199,10 @@ class BatchingMap {
       // Admission control rejected the op on first try; count the blocked
       // submit once, then wait out the backlog.
       if (obs::enabled()) BatchingStats::get().admission_rejects.add();
-      while (t - r.committed.load(std::memory_order_acquire) >=
-             inflight_limit_) {
-        std::this_thread::yield();
-      }
+      wait_until([&] {
+        return t - r.committed.load(std::memory_order_acquire) <
+               inflight_limit_;
+      });
     }
     Slot& s = r.slots[t & r.mask];
     s.key = k;
@@ -239,6 +234,7 @@ class BatchingMap {
 
   // Point read against the current version via VM slot p.
   std::optional<V> get(int p, const K& k) {
+    assert(p >= 0 && p < producers_);
     Map* cur = vm_.acquire(p);
     const V* v = cur->find(k);
     std::optional<V> out = v != nullptr ? std::optional<V>(*v) : std::nullopt;
@@ -246,13 +242,15 @@ class BatchingMap {
     return out;
   }
 
-  // Snapshot read: pins the current version O(1) and immediately releases
-  // the VM slot — the returned transaction reads a frozen map.
-  ReadTxn read_txn(int p) {
+  // Snapshot read: copies the current version (O(1); the copy owns its
+  // nodes by refcount, so it outlives later commits and the map) and
+  // releases VM slot p at once.
+  Map read_txn(int p) {
+    assert(p >= 0 && p < producers_);
     Map* cur = vm_.acquire(p);
     Map snap = *cur;
     vm::reclaim_payloads(vm_.release(p), alloc::PoolDispose{});
-    return ReadTxn(std::move(snap));
+    return snap;
   }
 
   // Commit ticket for everything producer p has submitted so far: the
@@ -273,11 +271,12 @@ class BatchingMap {
   void wait_committed(int p, std::uint64_t ticket) {
     assert(p >= 0 && p < producers_);
     Ring& r = *rings_[static_cast<std::size_t>(p)];
-    if (r.committed.load(std::memory_order_acquire) >= ticket) return;
+    auto done = [&] {
+      return r.committed.load(std::memory_order_acquire) >= ticket;
+    };
+    if (done()) return;
     r.sync_waiting.store(ticket, std::memory_order_release);
-    while (r.committed.load(std::memory_order_acquire) < ticket) {
-      std::this_thread::yield();
-    }
+    wait_until(done);
     r.sync_waiting.store(0, std::memory_order_release);
   }
 
@@ -293,11 +292,11 @@ class BatchingMap {
     }
     flush_waiters_.fetch_add(1, std::memory_order_acq_rel);
     for (int p = 0; p < producers_; ++p) {
-      Ring& r = *rings_[static_cast<std::size_t>(p)];
-      while (r.committed.load(std::memory_order_acquire) <
-             target[static_cast<std::size_t>(p)]) {
-        std::this_thread::yield();
-      }
+      const Ring& r = *rings_[static_cast<std::size_t>(p)];
+      wait_until([&] {
+        return r.committed.load(std::memory_order_acquire) >=
+               target[static_cast<std::size_t>(p)];
+      });
     }
     flush_waiters_.fetch_sub(1, std::memory_order_acq_rel);
   }
@@ -310,8 +309,6 @@ class BatchingMap {
   std::uint64_t batches_committed() const {
     return batches_committed_.load(std::memory_order_relaxed);
   }
-
-  int producers() const { return producers_; }
 
  private:
   struct Slot {
@@ -488,4 +485,5 @@ class BatchingMap {
   std::thread flattener_;
 };
 
+}  // namespace detail
 }  // namespace mvcc::txn

@@ -1,11 +1,10 @@
-// Sharded multi-writer scale-out over the batching front-end — the
-// ROADMAP's "millions of users" lever. One BatchingMap funnels every write
-// through a single flattener, which is the measured write ceiling of the
-// stack; ShardedMap partitions the key space across N independent
-// BatchingMap shards (splitmix64-mixed key -> shard), each with its own
-// flattener thread, vm/ version manager, rings, and alloc/obs accounting,
-// so update throughput scales with shards until the memory system, not the
-// flattener, is the limit.
+// The public write front-end: a versioned map whose key space is
+// partitioned across N shards, each one batched-writer engine
+// (detail::BatchingMap, txn/batching.h) with its own flattener thread, vm/
+// version manager, rings, and alloc/obs accounting. One shard is the
+// paper's single batched writer (Figure 7's "ours"); a single flattener is
+// the measured write ceiling of the stack, so update throughput scales
+// with shards until the memory system, not the flattener, is the limit.
 //
 // Shard routing: shard_of(k) = Lemire-reduce(splitmix64_mix(k), N). The
 // mix makes the partition independent of any key-space structure (YCSB's
@@ -15,7 +14,7 @@
 // Cross-shard consistency protocol (the part a bag of independent maps
 // lacks):
 //
-//   * snapshot(p) returns a version vector — one pinned FMap snapshot per
+//   * snapshot(p) returns a version vector — one pinned FMap copy per
 //     shard, acquired through each shard's vm/ acquire path
 //     (vm::acquire_version_vector) — that is MUTUALLY CONSISTENT: it never
 //     observes a torn multi_upsert_sync. Consistency comes from a seqlock
@@ -32,7 +31,7 @@
 //   * multi_upsert_sync(p, ops) commits a multi-key write spanning any
 //     subset of shards atomically with respect to snapshots: submit every
 //     op to its shard, then park on each involved shard's sync ticket
-//     (BatchingMap::wait_committed — the waits overlap, they don't
+//     (detail::BatchingMap::wait_committed — the waits overlap, they don't
 //     serialize), all inside the odd-epoch window. Multi-shard commits are
 //     serialized against each other by a mutex; single-shard traffic
 //     (submit/upsert_sync/get) never touches it.
@@ -43,14 +42,8 @@
 // cross-shard atomicity is defined at the snapshot, exactly like a
 // database read transaction.
 //
-// MVCC_SHARDS sizing and the latch: a ShardedMap constructed with
-// shards=0 (the default) takes its shard count from mvcc::Config, and
-// that value LATCHES at the first such construction: later setenv +
-// reload_config() cannot change it for the rest of the process, so two
-// maps can never disagree about the topology the process-wide
-// sharded/shard<i>/* metrics are keyed by. An explicit
-// shards argument (benches sweeping 1/2/4 in one process, tests) bypasses
-// the latch without disturbing it.
+// Sizing: the shard count is a constructor argument (default 1), fixed for
+// the map's life.
 //
 // Metrics (registered up front, cumulative across instances like txn/*):
 //   sharded/shard<i>/ops        ops committed by shard i's flattener
@@ -70,11 +63,10 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "mvcc/common/env.h"
 #include "mvcc/common/rng.h"
 #include "mvcc/obs/obs.h"
 #include "mvcc/txn/batching.h"
@@ -82,65 +74,58 @@
 
 namespace mvcc::txn {
 
-// The MVCC_SHARDS latch: resolved from config() exactly once, at the first
-// default-sized ShardedMap construction (or first explicit call):
-// reload_config() after this point changes config().shards but NOT the
-// count default-sized maps are built with.
-inline int latched_shard_count() {
-  static const int n = config().shards;
-  return n;
-}
-
-// Partitions the key space across N independent BatchingMap shards and
-// adds the cross-shard snapshot / atomic multi-commit protocol described
-// above. Template parameters match BatchingMap; every shard runs the same
-// VM algorithm.
+// Partitions the key space across N batched-writer shards and adds the
+// cross-shard snapshot / atomic multi-commit protocol described above.
+// K is integral (routing mixes its integral image) and, like V, default-
+// constructible and copyable (both live in ring slots); Aug is any ftree
+// augmentation; VMImpl is a vm/ algorithm template (e.g.
+// vm::PswfVersionManager for precise GC, vm::BaseVersionManager for the
+// GC-off ablation), run by every shard.
 template <class K, class V, class Aug, template <class> class VMImpl>
 class ShardedMap {
+  using Shard = detail::BatchingMap<K, V, Aug, VMImpl>;
+
  public:
-  using Shard = BatchingMap<K, V, Aug, VMImpl>;
   using Map = typename Shard::Map;
   using Entry = typename Map::Entry;
-  using ReadTxn = typename Shard::ReadTxn;
 
-  // A cross-shard version vector: one pinned, refcount-owned FMap snapshot
-  // per shard, mutually consistent against multi-shard commits. Outlives
-  // the ShardedMap like any ReadTxn outlives its BatchingMap.
+  // A cross-shard version vector: one refcount-owned FMap copy per shard,
+  // mutually consistent against multi-shard commits. It owns its nodes, so
+  // it outlives any number of later commits and the ShardedMap itself.
   class Snapshot {
    public:
     // Point lookup routed to the owning shard's pinned version.
     const V* find(const K& k) const {
-      return txns_[ShardedMap::shard_index(k, txns_.size())]->find(k);
+      return maps_[ShardedMap::shard_index(k, maps_.size())].find(k);
     }
 
     std::size_t size() const {
       std::size_t n = 0;
-      for (const auto& t : txns_) n += t.map().size();
+      for (const Map& m : maps_) n += m.size();
       return n;
     }
 
-    std::size_t shards() const { return txns_.size(); }
+    std::size_t shards() const { return maps_.size(); }
 
     // Shard s's pinned map, for callers iterating a whole shard.
-    const Map& shard_map(std::size_t s) const { return txns_[s].map(); }
+    const Map& shard_map(std::size_t s) const { return maps_[s]; }
 
    private:
     friend class ShardedMap;
-    explicit Snapshot(std::vector<ReadTxn> txns) : txns_(std::move(txns)) {}
-    std::vector<ReadTxn> txns_;
+    explicit Snapshot(std::vector<Map> maps) : maps_(std::move(maps)) {}
+    std::vector<Map> maps_;
   };
 
-  // `shards` = 0 sizes from MVCC_SHARDS via the latch; an explicit count
-  // bypasses the latch (bench sweeps, tests). `initial` is partitioned by
-  // shard_of and bulk-built per shard. `producers`, `buffer_capacity` and
-  // `max_batch` apply to every shard (each shard has `producers` rings, so
-  // any producer may submit to any shard).
-  ShardedMap(int producers, std::vector<Entry> initial = {}, int shards = 0,
+  // `initial` is partitioned by shard_of and bulk-built per shard.
+  // `producers`, `buffer_capacity` and `max_batch` apply to every shard
+  // (each shard has `producers` rings, so any producer may submit to any
+  // shard). Producer / VM slot indices are [0, producers).
+  ShardedMap(int producers, std::vector<Entry> initial = {}, int shards = 1,
              std::size_t buffer_capacity = std::size_t{1} << 14,
              std::size_t max_batch = std::size_t{1} << 16)
-      : producers_(producers),
-        nshards_(shards > 0 ? shards : latched_shard_count()) {
+      : nshards_(shards) {
     assert(producers >= 1);
+    assert(shards >= 1);
     std::vector<std::vector<Entry>> parts(
         static_cast<std::size_t>(nshards_));
     for (auto& e : initial) {
@@ -149,7 +134,8 @@ class ShardedMap {
     shards_.reserve(static_cast<std::size_t>(nshards_));
     for (int s = 0; s < nshards_; ++s) {
       shards_.push_back(std::make_unique<Shard>(
-          producers_, Map::from_entries(std::move(parts[static_cast<std::size_t>(s)])),
+          producers,
+          Map::from_entries(std::move(parts[static_cast<std::size_t>(s)])),
           buffer_capacity, max_batch));
     }
     last_ops_.assign(static_cast<std::size_t>(nshards_), 0);
@@ -172,14 +158,13 @@ class ShardedMap {
   ShardedMap(const ShardedMap&) = delete;
   ShardedMap& operator=(const ShardedMap&) = delete;
 
-  // Quiescent teardown, shard by shard: each BatchingMap commits its
+  // Quiescent teardown, shard by shard: each engine commits its
   // backlog, quiesces the background reclaim lane, and frees every version
   // its manager tracks — ftree::live_nodes() returns to baseline once the
   // map and its snapshots are gone.
   ~ShardedMap() { publish_shard_metrics(); }
 
   int shard_count() const { return nshards_; }
-  int producers() const { return producers_; }
 
   // Where key k lives. Static form for tests that need to construct keys
   // landing in specific shards of a hypothetical N-way map.
@@ -197,8 +182,9 @@ class ShardedMap {
     return shard_index(k, static_cast<std::size_t>(nshards_));
   }
 
-  // Asynchronous single-key update, routed to the owning shard. Same
-  // per-producer serialization contract as BatchingMap::submit.
+  // Asynchronous single-key update, routed to the owning shard. Producer p
+  // must submit from one thread at a time (its rings are SPSC); distinct
+  // producers are fully concurrent. Blocks only for admission control.
   void submit(int p, BatchOp op, const K& k, const V& v) {
     shards_[shard_of(k)]->submit(p, op, k, v);
   }
@@ -210,7 +196,9 @@ class ShardedMap {
     shards_[shard_of(k)]->upsert_sync(p, k, v);
   }
 
-  // Point read against the owning shard's current version via VM slot p.
+  // Point read against the owning shard's current version via VM slot p
+  // (one thread per slot at a time; a thread may interleave its own
+  // submits and reads on the same index).
   std::optional<V> get(int p, const K& k) {
     return shards_[shard_of(k)]->get(p, k);
   }
@@ -259,7 +247,7 @@ class ShardedMap {
   Snapshot snapshot(int p) {
     obs::TraceSpan span("sharded/snapshot");
     std::uint64_t retries = 0;
-    auto vec = vm::acquire_version_vector<ReadTxn>(
+    auto vec = vm::acquire_version_vector<Map>(
         shards_.size(), [this] { return stable_epoch(); },
         [this, p](std::size_t s) { return shards_[s]->read_txn(p); },
         &retries, kSnapshotRetryBudget);
@@ -324,14 +312,15 @@ class ShardedMap {
   // full commit windows.
   static constexpr std::uint64_t kSnapshotRetryBudget = 8;
 
-  // Spins until the epoch is even (no multi-shard commit in flight) and
+  // Waits until the epoch is even (no multi-shard commit in flight) and
   // returns it — the validation token of the snapshot protocol.
   std::uint64_t stable_epoch() const {
-    for (;;) {
-      const std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
-      if ((e & 1) == 0) return e;
-      std::this_thread::yield();
-    }
+    std::uint64_t e = 0;
+    detail::wait_until([&] {
+      e = epoch_.load(std::memory_order_seq_cst);
+      return (e & 1) == 0;
+    });
+    return e;
   }
 
   // Pushes each shard's committed-op/batch deltas since the last publish
@@ -368,7 +357,6 @@ class ShardedMap {
     return obs::registry().counter("sharded/multi_ops");
   }
 
-  const int producers_;
   const int nshards_;
   std::vector<std::unique_ptr<Shard>> shards_;
 

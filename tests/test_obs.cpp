@@ -2,8 +2,8 @@
 // single sample, overflow bucket, cross-bucket interpolation), striped
 // counter exactness under concurrent per-thread increments, gauge
 // high-water marks, registry identity and dump formats, and an end-to-end
-// BatchingMap run asserting that the txn/vm/ftree instrumentation actually
-// records under MVCC_STATS. Every suite name starts with "Obs" so CI's
+// one-shard ShardedMap run asserting that the txn/vm/ftree instrumentation
+// actually records under MVCC_STATS. Every suite name starts with "Obs" so CI's
 // TSan job can select this tier with `ctest -R '...|Obs'`.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@
 #include "mvcc/ftree/fmap.h"
 #include "mvcc/ftree/ops.h"
 #include "mvcc/obs/obs.h"
-#include "mvcc/txn/batching.h"
+#include "mvcc/txn/sharded.h"
 #include "mvcc/vm/pswf.h"
 
 namespace {
@@ -221,9 +221,9 @@ TEST(ObsRegistry, DumpJsonIsOneFlatObject) {
 // ---------------------------------------------------------------------------
 // End-to-end: the instrumentation actually records.
 
-using PswfMap = txn::BatchingMap<std::uint64_t, std::uint64_t,
-                                 ftree::NoAug<std::uint64_t, std::uint64_t>,
-                                 vm::PswfVersionManager>;
+using PswfMap = txn::ShardedMap<std::uint64_t, std::uint64_t,
+                                ftree::NoAug<std::uint64_t, std::uint64_t>,
+                                vm::PswfVersionManager>;
 
 // The two *AreRecorded tests need live instrumentation sites; under
 // -DMVCC_STATS=OFF those sites are compiled out, so only the

@@ -1,6 +1,7 @@
-// Tests for the txn/ batched multi-writer front-end and the YCSB workload
-// generator: commit semantics (sync tickets, flush drains, last-write-wins
-// dedup), snapshot isolation of read transactions, batch-bound accounting,
+// Tests for the batched writer engine, driven through one-shard
+// txn::ShardedMaps (the paper's single batched writer), and the YCSB
+// workload generator: commit semantics (sync tickets, flush drains,
+// last-write-wins dedup), snapshot isolation, batch-bound accounting,
 // multi-producer/multi-reader stress, and zero node leakage after every
 // teardown. Every suite name starts with "Txn" so CI's TSan job can select
 // this concurrency tier alongside Vm with `ctest -R 'Vm|Txn'`.
@@ -16,7 +17,7 @@
 
 #include "mvcc/common/rng.h"
 #include "mvcc/ftree/ops.h"
-#include "mvcc/txn/batching.h"
+#include "mvcc/txn/sharded.h"
 #include "mvcc/vm/base.h"
 #include "mvcc/vm/pslf.h"
 #include "mvcc/vm/pswf.h"
@@ -26,15 +27,12 @@ namespace {
 
 using namespace mvcc;
 
-using PswfMap = txn::BatchingMap<std::uint64_t, std::uint64_t,
-                                 ftree::NoAug<std::uint64_t, std::uint64_t>,
-                                 vm::PswfVersionManager>;
-using PslfMap = txn::BatchingMap<std::uint64_t, std::uint64_t,
-                                 ftree::NoAug<std::uint64_t, std::uint64_t>,
-                                 vm::PslfVersionManager>;
-using BaseMap = txn::BatchingMap<std::uint64_t, std::uint64_t,
-                                 ftree::NoAug<std::uint64_t, std::uint64_t>,
-                                 vm::BaseVersionManager>;
+template <class V, template <class> class VMImpl>
+using Map1 = txn::ShardedMap<std::uint64_t, V, ftree::NoAug<std::uint64_t, V>,
+                             VMImpl>;
+using PswfMap = Map1<std::uint64_t, vm::PswfVersionManager>;
+using PslfMap = Map1<std::uint64_t, vm::PslfVersionManager>;
+using BaseMap = Map1<std::uint64_t, vm::BaseVersionManager>;
 
 // ---------------------------------------------------------------------------
 // Batching semantics.
@@ -57,7 +55,7 @@ TEST(TxnBatching, UpsertSyncIsVisibleOnReturn) {
 TEST(TxnBatching, FlushAllDrainsEverySubmission) {
   const long long base_live = ftree::live_nodes();
   {
-    PswfMap map(2, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/64);
+    PswfMap map(2, {}, 1, /*buffer_capacity=*/1 << 10, /*max_batch=*/64);
     for (std::uint64_t i = 0; i < 500; ++i) {
       map.submit(0, txn::BatchOp::kUpsert, i, i);
     }
@@ -65,17 +63,17 @@ TEST(TxnBatching, FlushAllDrainsEverySubmission) {
       map.submit(1, txn::BatchOp::kUpsert, i, i + 7);
     }
     map.flush_all();
-    auto txn = map.read_txn(0);
-    EXPECT_EQ(txn.map().size(), 900u);
+    auto snap = map.snapshot(0);
+    EXPECT_EQ(snap.size(), 900u);
     // Keys 400-499 are written by both producers; their winner depends on
     // drain interleaving, so only the disjoint ranges assert values.
     for (std::uint64_t i = 0; i < 400; ++i) {
-      ASSERT_NE(txn->find(i), nullptr);
-      EXPECT_EQ(*txn->find(i), i);
+      ASSERT_NE(snap.find(i), nullptr);
+      EXPECT_EQ(*snap.find(i), i);
     }
     for (std::uint64_t i = 500; i < 900; ++i) {
-      ASSERT_NE(txn->find(i), nullptr);
-      EXPECT_EQ(*txn->find(i), i + 7);
+      ASSERT_NE(snap.find(i), nullptr);
+      EXPECT_EQ(*snap.find(i), i + 7);
     }
     EXPECT_EQ(map.ops_committed(), 1000u);
   }
@@ -85,7 +83,7 @@ TEST(TxnBatching, FlushAllDrainsEverySubmission) {
 TEST(TxnBatching, LastWriteWinsWithinProducer) {
   const long long base_live = ftree::live_nodes();
   {
-    PswfMap map(1, {}, 1 << 10, /*max_batch=*/1 << 12);
+    PswfMap map(1, {}, 1, 1 << 10, /*max_batch=*/1 << 12);
     // All updates to the same key land in one batch: dedup must keep the
     // latest submission, matching a loop of point inserts.
     for (std::uint64_t i = 0; i <= 300; ++i) {
@@ -100,21 +98,21 @@ TEST(TxnBatching, LastWriteWinsWithinProducer) {
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
 
-TEST(TxnBatching, ReadTxnIsAFrozenSnapshot) {
+TEST(TxnBatching, SnapshotIsFrozenAcrossCommits) {
   const long long base_live = ftree::live_nodes();
   {
-    PswfMap map(1, PswfMap::Map::from_entries({{1, 1}, {2, 2}}));
-    auto before = map.read_txn(0);
+    PswfMap map(1, {{1, 1}, {2, 2}});
+    auto before = map.snapshot(0);
     map.upsert_sync(0, 3, 3);
     map.upsert_sync(0, 1, 99);
     // The snapshot still reads the version it pinned...
-    EXPECT_EQ(before.map().size(), 2u);
-    EXPECT_EQ(*before->find(1), 1u);
-    EXPECT_EQ(before->find(3), nullptr);
-    // ...while new transactions see the commits.
-    auto after = map.read_txn(0);
-    EXPECT_EQ(after.map().size(), 3u);
-    EXPECT_EQ(*after->find(1), 99u);
+    EXPECT_EQ(before.size(), 2u);
+    EXPECT_EQ(*before.find(1), 1u);
+    EXPECT_EQ(before.find(3), nullptr);
+    // ...while new snapshots see the commits.
+    auto after = map.snapshot(0);
+    EXPECT_EQ(after.size(), 3u);
+    EXPECT_EQ(*after.find(1), 99u);
   }
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
@@ -122,22 +120,43 @@ TEST(TxnBatching, ReadTxnIsAFrozenSnapshot) {
 TEST(TxnBatching, SnapshotOutlivesTheMap) {
   const long long base_live = ftree::live_nodes();
   {
-    PswfMap::ReadTxn* held = nullptr;
+    PswfMap::Snapshot* held = nullptr;
     {
-      PswfMap map(1, PswfMap::Map::from_entries({{7, 70}, {8, 80}}));
-      held = new PswfMap::ReadTxn(map.read_txn(0));
+      PswfMap map(1, {{7, 70}, {8, 80}});
+      held = new PswfMap::Snapshot(map.snapshot(0));
     }  // manager destroyed; the snapshot owns its nodes by refcount
-    EXPECT_EQ(held->map().size(), 2u);
-    EXPECT_EQ(*held->map().find(7), 70u);
+    EXPECT_EQ(held->size(), 2u);
+    EXPECT_EQ(*held->find(7), 70u);
     delete held;
   }
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
 
+#ifndef NDEBUG
+// Reads pin VM slot p, and slot `producers` is the flattener's: a read
+// there would pin the writer's slot, and past it would index beyond the
+// manager's slot array. Both reads assert the index like submit does. The
+// map is built inside the statement so the fork happens before any thread.
+TEST(TxnBatchingDeathTest, ReadOnASlotPastTheProducersAsserts) {
+  EXPECT_DEATH(
+      {
+        PswfMap map(1, {{1, 1}});
+        (void)map.get(1, 1);
+      },
+      "producers_");
+  EXPECT_DEATH(
+      {
+        PswfMap map(1, {{1, 1}});
+        (void)map.snapshot(1);
+      },
+      "producers_");
+}
+#endif
+
 TEST(TxnBatching, RespectsMaxBatchBound) {
   const long long base_live = ftree::live_nodes();
   {
-    PswfMap map(1, {}, 1 << 10, /*max_batch=*/8);
+    PswfMap map(1, {}, 1, 1 << 10, /*max_batch=*/8);
     for (std::uint64_t i = 0; i < 256; ++i) {
       map.submit(0, txn::BatchOp::kUpsert, i, i);
     }
@@ -152,10 +171,8 @@ TEST(TxnBatching, RespectsMaxBatchBound) {
 TEST(TxnBatching, InitialMapIsServedBeforeAnyCommit) {
   const long long base_live = ftree::live_nodes();
   {
-    auto dataset = workload::ycsb_dataset(1000);
-    PswfMap map(2, PswfMap::Map::from_entries(std::move(dataset)), 1 << 14);
-    auto txn = map.read_txn(1);
-    EXPECT_EQ(txn.map().size(), 1000u);
+    PswfMap map(2, workload::ycsb_dataset(1000), 1, 1 << 14);
+    EXPECT_EQ(map.snapshot(1).size(), 1000u);
     auto v = map.get(0, 999);
     EXPECT_TRUE(v.has_value());
   }
@@ -167,7 +184,7 @@ TEST(TxnBatching, InitialMapIsServedBeforeAnyCommit) {
 TEST(TxnBatching, BaseVmVariantCommitsAndDrains) {
   const long long base_live = ftree::live_nodes();
   {
-    BaseMap map(1, {}, 1 << 10, 16);
+    BaseMap map(1, {}, 1, 1 << 10, 16);
     for (std::uint64_t i = 0; i < 200; ++i) {
       map.submit(0, txn::BatchOp::kUpsert, i % 50, i);
     }
@@ -186,7 +203,7 @@ TEST(TxnBatching, MultiProducerDisjointKeysAllCommit) {
   {
     constexpr int kProducers = 4;
     constexpr std::uint64_t kPerProducer = 4000;
-    PswfMap map(kProducers, {}, 1 << 12, 256);
+    PswfMap map(kProducers, {}, 1, 1 << 12, 256);
     std::vector<std::thread> threads;
     for (int p = 0; p < kProducers; ++p) {
       threads.emplace_back([&, p] {
@@ -206,12 +223,12 @@ TEST(TxnBatching, MultiProducerDisjointKeysAllCommit) {
     map.flush_all();
     EXPECT_EQ(map.ops_committed(),
               static_cast<std::uint64_t>(kProducers) * kPerProducer);
-    auto txn = map.read_txn(0);
-    EXPECT_EQ(txn.map().size(), kProducers * 1000u);
+    auto snap = map.snapshot(0);
+    EXPECT_EQ(snap.size(), kProducers * 1000u);
     for (int p = 0; p < kProducers; ++p) {
       for (std::uint64_t s = 0; s < 1000; ++s) {
         const std::uint64_t k = static_cast<std::uint64_t>(p) + kProducers * s;
-        const std::uint64_t* v = txn->find(k);
+        const std::uint64_t* v = snap.find(k);
         ASSERT_NE(v, nullptr);
         // Last write to stripe s by producer p has i = 3000 + s.
         EXPECT_EQ(*v, 3000 + s);
@@ -226,8 +243,7 @@ void run_producers_vs_readers_stress() {
   const long long base_live = ftree::live_nodes();
   {
     constexpr int kProducers = 3;
-    M map(kProducers, M::Map::from_entries(workload::ycsb_dataset(2000)),
-          1 << 12, 128);
+    M map(kProducers, workload::ycsb_dataset(2000), 1, 1 << 12, 128);
     std::atomic<bool> stop{false};
     std::vector<std::thread> threads;
     for (int p = 1; p < kProducers; ++p) {
@@ -245,14 +261,15 @@ void run_producers_vs_readers_stress() {
       });
     }
     // Reader on slot 0 (no producer uses it concurrently): point reads and
-    // snapshot scans must always see a consistent committed version.
+    // snapshot scans must always see a consistent committed version. It
+    // reads on until a batch has committed, so the producers cannot be
+    // stopped before they ran.
     threads.emplace_back([&] {
       Xoshiro256 rng(5);
-      for (int i = 0; i < 300; ++i) {
+      for (int i = 0; i < 300 || map.batches_committed() == 0; ++i) {
         auto v = map.get(0, rng.next_below(4000));
         (void)v;
-        auto txn = map.read_txn(0);
-        EXPECT_GE(txn.map().size(), 2000u);
+        EXPECT_GE(map.snapshot(0).size(), 2000u);
       }
       stop.store(true, std::memory_order_release);
     });
@@ -280,10 +297,7 @@ TEST(TxnBatching, NestedMapPayloadsCollectPrecisely) {
     struct Inner {
       ftree::FMap<std::uint64_t, std::uint64_t> m;
     };
-    using NMap = txn::BatchingMap<std::uint64_t, Inner,
-                                  ftree::NoAug<std::uint64_t, Inner>,
-                                  vm::PswfVersionManager>;
-    NMap map(1, {}, 1 << 8, 16);
+    Map1<Inner, vm::PswfVersionManager> map(1, {}, 1, 1 << 8, 16);
     ftree::FMap<std::uint64_t, std::uint64_t> proto;
     for (std::uint64_t j = 0; j < 32; ++j) proto = proto.inserted(j, j);
     for (std::uint64_t i = 0; i < 400; ++i) {
@@ -291,8 +305,7 @@ TEST(TxnBatching, NestedMapPayloadsCollectPrecisely) {
                  Inner{proto.inserted(i, i)});
     }
     map.flush_all();
-    auto txn = map.read_txn(0);
-    EXPECT_EQ(txn.map().size(), 40u);
+    EXPECT_EQ(map.snapshot(0).size(), 40u);
   }
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
@@ -369,7 +382,7 @@ constexpr std::size_t kDefer = txn::kDeferMinBatch;
 TEST(TxnReclaim, DeferredFreesDrainToBaselineAtTeardown) {
   const long long base_live = ftree::live_nodes();
   {
-    PswfMap map(2, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
+    PswfMap map(2, {}, 1, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
     for (std::uint64_t i = 0; i < 16 * kDefer; ++i) {
       map.submit(static_cast<int>(i % 2), txn::BatchOp::kUpsert, i % 512, i);
       if (i % 97 == 0) {
@@ -379,7 +392,7 @@ TEST(TxnReclaim, DeferredFreesDrainToBaselineAtTeardown) {
     }
     map.flush_all();
   }
-  // ~BatchingMap quiesced the lane: every deferred batch has been freed.
+  // Teardown quiesced the lane: every deferred batch has been freed.
   EXPECT_EQ(ftree::live_nodes(), base_live);
   EXPECT_EQ(vm::reclaim_queue_depth().load(), 0);
 }
@@ -391,7 +404,7 @@ TEST(TxnReclaim, ShutdownWithBackedUpLaneDoesNotLeak) {
     // for the lane before the destructor runs (no flush, no explicit
     // quiesce — teardown must drain it; the ASan tier turns any miss into
     // a leak report).
-    PswfMap map(1, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
+    PswfMap map(1, {}, 1, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
     for (std::uint64_t i = 0; i < 64 * kDefer; ++i) {
       map.submit(0, txn::BatchOp::kUpsert, i % 1024, i);
     }
@@ -403,7 +416,7 @@ TEST(TxnReclaim, ShutdownWithBackedUpLaneDoesNotLeak) {
 TEST(TxnReclaim, ReadsStayCorrectWhileReclaimRunsBehind) {
   const long long base_live = ftree::live_nodes();
   {
-    PswfMap map(2, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
+    PswfMap map(2, {}, 1, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
     std::atomic<bool> stop{false};
     std::thread reader([&] {
       std::uint64_t last = 0;
@@ -415,8 +428,7 @@ TEST(TxnReclaim, ReadsStayCorrectWhileReclaimRunsBehind) {
           EXPECT_GE(*v, last);
           last = *v;
         }
-        auto txn = map.read_txn(1);
-        EXPECT_LE(txn.map().size(), 257u);
+        EXPECT_LE(map.snapshot(1).size(), 257u);
       }
     });
     // Each round is one full batch: kDefer - 1 async ops, then the sync
@@ -438,7 +450,7 @@ TEST(TxnReclaim, LaneFollowsTheCommittedBatchSize) {
   obs::set_enabled(true);
   obs::Counter& deferred = obs::registry().counter("reclaim/deferred");
   {
-    PswfMap map(1, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
+    PswfMap map(1, {}, 1, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
     // A 1-op commit retires the previous version inline.
     std::uint64_t d0 = deferred.value();
     map.upsert_sync(0, 1, 1);
@@ -487,9 +499,6 @@ struct SlowToFree {
 // reports how many rounds were.
 double p99_sync_commit_us(std::uint64_t round_ops, std::uint64_t* samples) {
   using Slow = std::shared_ptr<SlowToFree>;
-  using NMap = txn::BatchingMap<std::uint64_t, Slow,
-                                ftree::NoAug<std::uint64_t, Slow>,
-                                vm::PswfVersionManager>;
   // Keys recycle every 4 rounds while the ring (2 rounds deep) drops its
   // value copy after 2 rounds, so by the time a key is overwritten the
   // retired version holds the LAST reference and the sweep runs the
@@ -500,8 +509,9 @@ double p99_sync_commit_us(std::uint64_t round_ops, std::uint64_t* samples) {
   constexpr int kMaxRounds = kWarmRounds + 8 * kMeasuredRounds;
   const std::uint64_t key_space = 4 * round_ops;
   obs::LatencyHistogram lat;
-  NMap map(1, {}, /*buffer_capacity=*/2 * round_ops,
-           /*max_batch=*/2 * round_ops);
+  Map1<Slow, vm::PswfVersionManager> map(1, {}, 1,
+                                         /*buffer_capacity=*/2 * round_ops,
+                                         /*max_batch=*/2 * round_ops);
   std::uint64_t key = 0;
   for (int r = 0; r < kMaxRounds && lat.count() < kMeasuredRounds; ++r) {
     const std::uint64_t batches0 = map.batches_committed();
