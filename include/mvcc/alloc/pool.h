@@ -14,24 +14,22 @@
 //                it; when one runs dry/full the two swap, so a thread
 //                ping-ponging alloc/free near a magazine boundary never
 //                touches shared state.
-//   Depot        per size class, global: two lock-free stacks of WHOLE
-//                magazines (full of blocks / empty). A cache miss
-//                exchanges magazines with the depot — one CAS moves
-//                kMagazineSize blocks, which is what makes cross-thread
-//                free cheap: blocks freed on thread B flow back to
-//                allocating thread A a magazine at a time.
-//   Slabs        when the depot is dry too, the owning size class carves
-//                a fresh magazine's worth of blocks out of a slab
+//   Depot        per size class, global: two stacks of WHOLE magazines
+//                (full of blocks / empty) under the class's mutex. A
+//                cache miss exchanges magazines with the depot — one lock
+//                acquisition moves kMagazineSize blocks, which is what
+//                makes cross-thread free cheap: blocks freed on thread B
+//                flow back to allocating thread A a magazine at a time.
+//   Slabs        when the depot is dry too, the size class carves a fresh
+//                magazine's worth of blocks out of a slab
 //                (kDefaultSlabBytes, 64 KiB) obtained from operator new.
 //                Slabs are never returned to the OS while the pool
 //                lives — blocks recirculate.
 //
-// The depot stacks are Treiber stacks made ABA-safe by indirection:
-// magazines live in a grow-only chunked table and the stack head packs
-// {32-bit magazine index, 32-bit tag} into one 64-bit CAS word, the tag
-// bumped on every successful push/pop. Push is a release CAS and pop
-// reads the head with acquire, which is the happens-before edge that
-// publishes a magazine's (plain, non-atomic) count/items to its next
+// The depot is touched once per kMagazineSize blocks: the end-to-end runs
+// count 145-484 transfers per thousand ops, under 100k per second, which a
+// mutex handles with room to spare. The class mutex is also the
+// happens-before edge that publishes a magazine's count/items to its next
 // owner.
 //
 // Routing: the allocate()/deallocate() free functions send every block up
@@ -52,6 +50,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <new>
 #include <utility>
@@ -129,17 +128,10 @@ class Pool;
 
 namespace detail {
 
-inline constexpr std::uint32_t kNoneIdx = 0xffffffffu;
-
-// A magazine: a fixed-capacity stack of free blocks of one size class.
-// count/items are PLAIN fields — a magazine is owned by exactly one thread
-// cache or parked in a depot stack at any time, and the depot's
-// release-push/acquire-pop is the handoff edge. Only `next` (the depot
-// stack link) is atomic: a popping thread reads it speculatively while the
-// magazine may still be re-linked by a competing pop's retry.
+// A magazine: a fixed-capacity stack of free blocks of one size class,
+// owned by exactly one thread cache or parked in its class's depot at any
+// time.
 struct Magazine {
-  std::atomic<std::uint32_t> next{kNoneIdx};
-  std::uint32_t self = kNoneIdx;  // index in the owning pool's table
   std::uint32_t count = 0;
   void* items[kMagazineSize];
 };
@@ -160,7 +152,8 @@ struct ThreadCache {
 
 // Coordinates thread-exit cache flushes against ~Pool. Immortal (never
 // destroyed) so a late-exiting thread can always take it, whatever order
-// static destruction picks.
+// static destruction picks. Lock order: registry_mutex() before any size
+// class's mutex (a flush parks magazines while holding both).
 inline std::mutex& registry_mutex() {
   static std::mutex* m = new std::mutex;
   return *m;
@@ -202,9 +195,6 @@ class Pool {
       std::lock_guard<std::mutex> lock(detail::registry_mutex());
       for (detail::ThreadCache* c : caches_) c->owner = nullptr;
       caches_.clear();
-    }
-    for (std::atomic<detail::Magazine*>& chunk : chunks_) {
-      delete[] chunk.load(std::memory_order_relaxed);
     }
     for (void* slab : slabs_) {
       MVCC_ALLOC_UNPOISON(slab, slab_bytes_);
@@ -276,88 +266,29 @@ class Pool {
  private:
   friend struct detail::ThreadCacheList;
 
-  // ABA-safe Treiber stack of magazine INDICES: the head packs
-  // {tag, index}, and the tag advances on every successful CAS, so a
-  // pop's speculative `next` read can never be installed against a head
-  // that was popped and re-pushed in between.
-  class TaggedStack {
-   public:
-    void push(Pool& pool, std::uint32_t idx) {
-      detail::Magazine& m = pool.mag(idx);
-      std::uint64_t cur = top_.load(std::memory_order_relaxed);
-      for (;;) {
-        m.next.store(index_of(cur), std::memory_order_relaxed);
-        if (top_.compare_exchange_weak(cur, make(tag_of(cur) + 1, idx),
-                                       std::memory_order_release,
-                                       std::memory_order_relaxed)) {
-          return;
-        }
-      }
-    }
-
-    // kNoneIdx when empty.
-    std::uint32_t pop(Pool& pool) {
-      std::uint64_t cur = top_.load(std::memory_order_acquire);
-      for (;;) {
-        const std::uint32_t idx = index_of(cur);
-        if (idx == detail::kNoneIdx) return detail::kNoneIdx;
-        const std::uint32_t next =
-            pool.mag(idx).next.load(std::memory_order_relaxed);
-        if (top_.compare_exchange_weak(cur, make(tag_of(cur) + 1, next),
-                                       std::memory_order_acquire,
-                                       std::memory_order_acquire)) {
-          return idx;
-        }
-      }
-    }
-
-   private:
-    static constexpr std::uint64_t make(std::uint64_t tag,
-                                        std::uint32_t idx) {
-      return (tag << 32) | idx;
-    }
-    static constexpr std::uint32_t index_of(std::uint64_t v) {
-      return static_cast<std::uint32_t>(v);
-    }
-    static constexpr std::uint64_t tag_of(std::uint64_t v) { return v >> 32; }
-
-    std::atomic<std::uint64_t> top_{make(0, detail::kNoneIdx)};
-  };
-
+  // One size class's depot and slab carving, all guarded by `mu`. The
+  // class owns every magazine it ever made; `full` and `empty` hold the
+  // ones parked in the depot.
   struct SizeClass {
-    TaggedStack full;
-    TaggedStack empty;
-    std::mutex slab_mu;  // guards cur/end carving
+    std::mutex mu;
+    std::vector<detail::Magazine*> full;
+    std::vector<detail::Magazine*> empty;
+    std::vector<std::unique_ptr<detail::Magazine>> owned;
     char* cur = nullptr;
     char* end = nullptr;
   };
 
-  // Grow-only chunked magazine table: chunk pointers are atomic so mag()
-  // stays lock-free while create_magazine() (mutex-guarded, rare) installs
-  // new chunks. Indices are never reused or invalidated.
-  static constexpr std::uint32_t kChunkShift = 8;
-  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
-  static constexpr std::uint32_t kMaxChunks = 1u << 12;
-
-  detail::Magazine& mag(std::uint32_t idx) {
-    detail::Magazine* chunk =
-        chunks_[idx >> kChunkShift].load(std::memory_order_acquire);
-    return chunk[idx & (kChunkSize - 1)];
-  }
-
-  std::uint32_t create_magazine() {
-    std::lock_guard<std::mutex> lock(table_mu_);
-    const std::uint32_t idx = magazine_next_;
-    const std::uint32_t chunk = idx >> kChunkShift;
-    if (chunk >= kMaxChunks) throw std::bad_alloc();  // ~16 GiB of blocks
-    if (chunks_[chunk].load(std::memory_order_relaxed) == nullptr) {
-      chunks_[chunk].store(new detail::Magazine[kChunkSize],
-                           std::memory_order_release);
+  // An empty magazine from the depot, or a new one the class owns. Called
+  // under sc.mu.
+  detail::Magazine* take_empty(SizeClass& sc) {
+    if (sc.empty.empty()) {
+      sc.owned.push_back(std::make_unique<detail::Magazine>());
+      magazine_count_.fetch_add(1, std::memory_order_relaxed);
+      return sc.owned.back().get();
     }
-    ++magazine_next_;
-    magazine_count_.fetch_add(1, std::memory_order_relaxed);
-    mag(idx).self = idx;
-    return idx;
+    detail::Magazine* m = sc.empty.back();
+    sc.empty.pop_back();
+    return m;
   }
 
   detail::ThreadCache& local_cache() {
@@ -389,36 +320,29 @@ class Pool {
 
   void* allocate_slow(std::size_t ci, detail::ThreadCache::Slot& slot) {
     SizeClass& sc = classes_[ci];
-    // Exchange with the depot: retire the dry loaded magazine, take a full
-    // one. One CAS each way moves kMagazineSize blocks.
-    const std::uint32_t full = sc.full.pop(*this);
-    if (full != detail::kNoneIdx) {
-      if (slot.loaded != nullptr) {
-        sc.empty.push(*this, slot.loaded->self);
+    {
+      std::lock_guard<std::mutex> lock(sc.mu);
+      if (!sc.full.empty()) {
+        // Exchange with the depot: retire the dry loaded magazine, take a
+        // full one. One lock acquisition moves kMagazineSize blocks.
+        if (slot.loaded != nullptr) sc.empty.push_back(slot.loaded);
+        slot.loaded = sc.full.back();
+        sc.full.pop_back();
+        note_transfer();
+      } else {
+        // Depot dry: carve a magazine's worth of fresh blocks from the slab.
+        if (slot.loaded == nullptr) slot.loaded = take_empty(sc);
+        carve(ci, sc, *slot.loaded);
       }
-      slot.loaded = &mag(full);
-      note_transfer(1);
-      void* p = slot.loaded->items[--slot.loaded->count];
-      MVCC_ALLOC_UNPOISON(p, class_bytes(ci));
-      return p;
     }
-    // Depot dry: carve a magazine's worth of fresh blocks from the slab.
-    detail::Magazine* m = slot.loaded;
-    if (m == nullptr) {
-      const std::uint32_t e = sc.empty.pop(*this);
-      m = e != detail::kNoneIdx ? &mag(e) : &mag(create_magazine());
-      m->count = 0;
-      slot.loaded = m;
-    }
-    carve(ci, sc, *m);
-    void* p = m->items[--m->count];
+    void* p = slot.loaded->items[--slot.loaded->count];
     MVCC_ALLOC_UNPOISON(p, class_bytes(ci));
     return p;
   }
 
+  // Called under sc.mu.
   void carve(std::size_t ci, SizeClass& sc, detail::Magazine& m) {
     const std::size_t bs = class_bytes(ci);
-    std::lock_guard<std::mutex> lock(sc.slab_mu);
     while (m.count < kMagazineSize) {
       if (sc.cur == nullptr ||
           static_cast<std::size_t>(sc.end - sc.cur) < bs) {
@@ -466,37 +390,38 @@ class Pool {
       return;
     }
     SizeClass& sc = classes_[ci];
-    // Both magazines full (or absent): hand the full `previous` to the
-    // depot, shift `loaded` down, install an empty magazine on top.
-    if (slot.previous != nullptr) {
-      sc.full.push(*this, slot.previous->self);
-      note_transfer(1);
+    {
+      // Both magazines full (or absent): hand the full `previous` to the
+      // depot, shift `loaded` down, install an empty magazine on top.
+      std::lock_guard<std::mutex> lock(sc.mu);
+      if (slot.previous != nullptr) {
+        sc.full.push_back(slot.previous);
+        note_transfer();
+      }
+      slot.previous = slot.loaded;
+      slot.loaded = take_empty(sc);
     }
-    slot.previous = slot.loaded;
-    const std::uint32_t e = sc.empty.pop(*this);
-    detail::Magazine* m =
-        e != detail::kNoneIdx ? &mag(e) : &mag(create_magazine());
-    m->count = 0;
-    slot.loaded = m;
-    m->items[m->count++] = p;
+    slot.loaded->items[slot.loaded->count++] = p;
   }
 
   // Thread exit: park the cache's magazines back in the depot so their
-  // blocks stay allocatable. Called under registry_mutex().
+  // blocks stay allocatable. Called under registry_mutex(), which is taken
+  // before each class mutex.
   void flush_cache(detail::ThreadCache& cache) {
     for (std::size_t ci = 0; ci < kNumClasses; ++ci) {
+      SizeClass& sc = classes_[ci];
+      std::lock_guard<std::mutex> lock(sc.mu);
       for (detail::Magazine* m :
            {cache.cls[ci].loaded, cache.cls[ci].previous}) {
         if (m == nullptr) continue;
         if (m->count > 0) {
-          classes_[ci].full.push(*this, m->self);
-          note_transfer(1);
+          sc.full.push_back(m);
+          note_transfer();
         } else {
-          classes_[ci].empty.push(*this, m->self);
+          sc.empty.push_back(m);
         }
       }
-      cache.cls[ci].loaded = nullptr;
-      cache.cls[ci].previous = nullptr;
+      cache.cls[ci] = {};
     }
     for (std::size_t i = 0; i < caches_.size(); ++i) {
       if (caches_[i] == &cache) {
@@ -507,18 +432,13 @@ class Pool {
     }
   }
 
-  void note_transfer(std::int64_t n) {
-    transfer_count_.fetch_add(n, std::memory_order_relaxed);
-    if (obs::enabled()) {
-      AllocStats::get().depot_transfers.add(static_cast<std::uint64_t>(n));
-    }
+  void note_transfer() {
+    transfer_count_.fetch_add(1, std::memory_order_relaxed);
+    if (obs::enabled()) AllocStats::get().depot_transfers.add();
   }
 
   const std::size_t slab_bytes_;
   SizeClass classes_[kNumClasses];
-  std::atomic<detail::Magazine*> chunks_[kMaxChunks] = {};
-  std::mutex table_mu_;
-  std::uint32_t magazine_next_ = 0;
   std::mutex slabs_mu_;
   std::vector<void*> slabs_;
   std::vector<detail::ThreadCache*> caches_;  // under registry_mutex()

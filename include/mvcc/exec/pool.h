@@ -1,6 +1,6 @@
-// Shared work-stealing task pool: the execution substrate for the bulk
-// tree operations' fork-join parallelism (ftree/ops.h) and for
-// off-critical-path precise reclamation (alloc/reclaim.h background lane).
+// Shared task pool: the execution substrate for the bulk tree operations'
+// fork-join parallelism (ftree/ops.h) and for off-critical-path precise
+// reclamation (alloc/reclaim.h background lane).
 //
 // Before this layer every fork was a `std::async` thread (fine for one big
 // batch, wasteful for many small concurrent unions, with the spawn-failure
@@ -9,49 +9,40 @@
 // large retirements. The pool replaces both with one process-wide set of
 // workers (sized by MVCC_THREADS) and two lanes:
 //
-//   * FOREGROUND (fork-join): invoke2(fa, fb) forks fb as a stack-allocated
-//     task onto the caller's deque, runs fa inline, then JOINS by helping —
-//     popping its own deque (LIFO) or stealing — until fb's done flag is
-//     set. The caller is always one of the computation's workers, so a pool
-//     of W threads gives MVCC_THREADS = W+1 way parallelism, and a pool
-//     that failed to spawn any thread still completes every invoke2 (the
-//     caller self-executes), centralizing the old per-site fallbacks.
+//   * FOREGROUND (fork-join): invoke2(fa, fb) pushes fb as a stack-allocated
+//     task onto the fork stack, runs fa inline, then JOINS by helping —
+//     popping the newest queued fork — until fb's done flag is set. The
+//     caller is always one of the computation's workers, so a pool of W
+//     threads gives MVCC_THREADS = W+1 way parallelism, and a pool that
+//     failed to spawn any thread still completes every invoke2 (the caller
+//     self-executes), centralizing the old per-site fallbacks.
 //   * BACKGROUND (defer/quiesce): defer(fn) queues work workers run only
-//     when the foreground is empty; quiesce() helps drain and blocks until
+//     when the fork stack is empty; quiesce() helps drain and blocks until
 //     every deferred task has COMPLETED. vm/base.h publishes exact freed
 //     sets here so release/set return before the destructors run.
 //
-// Deque design: per-worker mutex-guarded deques — owner pushes and pops at
-// the back (LIFO, the fork-join locality order), thieves take HALF from the
-// front (FIFO, the oldest and therefore biggest subproblems), parking the
-// extras on their own deque. A lock-free Chase–Lev deque does not extend
-// soundly to steal-half (the owner's uncontended pop takes non-top elements
-// without a CAS, so a thief CASing top across k elements can claim one the
-// owner also took); a mutex makes the take-k atomic, and every task is a
-// >= bulk-grain (thousands of node visits) subproblem or a whole reclaim
-// batch, so the lock is amortized to noise. External threads (the
-// flattener, bench drivers) fork through a shared inject queue and join by
-// helping from it, so any thread may call invoke2.
+// Queue design: one mutex guards both lanes — a fork stack popped newest
+// first and a FIFO deferred queue. The bulk ops halve their budget at every
+// fork, so one computation never has more than MVCC_THREADS - 1 forks
+// outstanding, and the end-to-end runs count 0.9-3.9 tasks per commit:
+// a queue never holds enough tasks for per-worker deques or stealing to
+// pay. Any thread may fork and join.
 //
-// Idle workers park on a condvar with a 1ms cap: the push->notify pair
-// leaves a benign missed-wakeup window (a worker between its empty scan
-// and its wait), and the bounded wait turns that into at most 1ms of added
-// latency instead of a hang. On the default single-core CI box parking
-// matters more than stealing — spinning workers would strangle the thread
-// that has the work.
+// Idle workers sleep on a condition variable guarded by the same mutex, so
+// a push (made under it) cannot miss a sleeper and an idle pool burns no
+// CPU. A push notifies one sleeper, and only when one exists.
 //
 // Lifetime: Pool::instance() is a lazy singleton torn down at static
 // destruction; its constructor touches the obs registry/tracer singletons
 // first so they are destroyed after the workers are joined. Shutdown
-// drains the background lane (workers run every queued deferred task
-// before exiting; the destructor self-drains stragglers), so deferred
-// reclamation can never leak at process exit. invoke2 must not be in
-// flight across ~Pool (joiners self-execute, so this only requires not
-// destroying the pool mid-computation).
+// drains both lanes (workers exit only once both are empty; the destructor
+// self-drains stragglers deferred afterwards), so deferred reclamation can
+// never leak at process exit. invoke2 must not be in flight across ~Pool
+// (joiners self-execute, so this only requires not destroying the pool
+// mid-computation).
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -74,7 +65,7 @@ namespace mvcc::exec {
 // under obs::enabled()):
 //
 //   exec/tasks    tasks executed by the pool (forks + deferred batches)
-//   exec/steals   tasks that migrated off the deque they were pushed to
+//   exec/steals   forks that ran on a thread other than their forker
 inline obs::Counter& exec_tasks() {
   static obs::Counter& c = obs::registry().counter("exec/tasks");
   return c;
@@ -85,14 +76,9 @@ inline obs::Counter& exec_steals() {
   return c;
 }
 
-class Pool;
-
 namespace detail {
-// Worker identity: which pool (if any) owns the current thread, and its
-// deque index there. Non-worker threads keep {nullptr, -1} and go through
-// the inject queue.
-inline thread_local Pool* tl_pool = nullptr;
-inline thread_local int tl_id = -1;
+// Thread identity for the steal count: its address differs per thread.
+inline thread_local char tl_thread_tag = 0;
 }  // namespace detail
 
 class Pool {
@@ -114,12 +100,10 @@ class Pool {
       (void)exec_tasks();
       (void)exec_steals();
     }
-    deques_.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) deques_.push_back(std::make_unique<Deque>());
     threads_.reserve(static_cast<std::size_t>(n));
     try {
       for (int i = 0; i < n; ++i) {
-        threads_.emplace_back([this, i] { worker_loop(i); });
+        threads_.emplace_back([this] { worker_loop(); });
       }
     } catch (const std::system_error&) {
       // Thread limits: run with however many workers actually started.
@@ -131,16 +115,13 @@ class Pool {
   Pool& operator=(const Pool&) = delete;
 
   ~Pool() {
-    stop_.store(true, std::memory_order_release);
     {
-      // Empty critical section: a worker between its stop check and its
-      // wait holds idle_mu_, so locking here orders the notify after it
-      // has actually begun waiting.
-      std::lock_guard<std::mutex> lock(idle_mu_);
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
     }
-    idle_cv_.notify_all();
+    cv_.notify_all();
     for (std::thread& t : threads_) t.join();
-    // Workers drained the lanes before exiting; self-drain anything
+    // Workers drained both lanes before exiting; self-drain anything
     // deferred in the teardown window.
     while (run_one_deferred()) {
     }
@@ -171,14 +152,20 @@ class Pool {
     using RB = std::invoke_result_t<FB&>;
     static_assert(!std::is_void_v<RA> && !std::is_void_v<RB>,
                   "invoke2 requires value-returning callables");
-    ForkTaskImpl<std::decay_t<FB>, RB> fork(std::forward<FB>(fb));
-    push_fork(&fork);
+    ForkImpl<std::decay_t<FB>, RB> fork(std::forward<FB>(fb));
+    bool wake;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      forks_.push_back(&fork);
+      wake = sleepers_ > 0;
+    }
+    if (wake) cv_.notify_one();
     std::optional<RA> ra;
     try {
       ra.emplace(fa());
     } catch (...) {
       // The fork frame lives on this stack: it must finish (here or on a
-      // thief) before unwinding can destroy it.
+      // worker) before unwinding can destroy it.
       join_fork(fork);
       throw;
     }
@@ -187,19 +174,22 @@ class Pool {
     return {std::move(*ra), std::move(*fork.result)};
   }
 
-  // Background lane: fn() runs on a worker once the foreground is empty.
+  // Background lane: fn() runs on a worker once the fork stack is empty.
   // fn must not throw (a throw is swallowed, not propagated) and must not
   // call quiesce (a deferred task waiting on the lane it occupies can
   // self-deadlock); deferring more work from a deferred task is fine.
   template <class F>
   void defer(F&& fn) {
+    auto task =
+        std::make_unique<BgTaskImpl<std::decay_t<F>>>(std::forward<F>(fn));
     bg_pending_.fetch_add(1, std::memory_order_release);
+    bool wake;
     {
-      std::lock_guard<std::mutex> lock(bg_mu_);
-      bg_.push_back(std::make_unique<BgTaskImpl<std::decay_t<F>>>(
-          std::forward<F>(fn)));
+      std::lock_guard<std::mutex> lock(mu_);
+      bg_.push_back(std::move(task));
+      wake = sleepers_ > 0;
     }
-    notify_work();
+    if (wake) cv_.notify_one();
   }
 
   // Blocks until every task deferred so far has COMPLETED (not merely been
@@ -217,22 +207,20 @@ class Pool {
   }
 
  private:
-  struct Task {
+  struct Fork {
     virtual void execute() = 0;
+    const char* forker = &detail::tl_thread_tag;
+    std::exception_ptr error;
+    std::atomic<bool> done{false};
 
    protected:
-    ~Task() = default;  // never deleted through the base; forks live on
+    ~Fork() = default;  // never deleted through the base; forks live on
                         // their joiner's stack
   };
 
-  struct ForkTaskBase : Task {
-    std::exception_ptr error;
-    std::atomic<bool> done{false};
-  };
-
   template <class FB, class RB>
-  struct ForkTaskImpl final : ForkTaskBase {
-    explicit ForkTaskImpl(FB f) : fn(std::move(f)) {}
+  struct ForkImpl final : Fork {
+    explicit ForkImpl(FB f) : fn(std::move(f)) {}
     FB fn;
     std::optional<RB> result;
     void execute() override {
@@ -257,39 +245,47 @@ class Pool {
     void run() override { fn(); }
   };
 
-  struct Deque {
-    std::mutex mu;
-    std::deque<Task*> q;
-  };
-
-  void worker_loop(int id) {
-    detail::tl_pool = this;
-    detail::tl_id = id;
+  // Forks before deferred tasks; sleep when both lanes are empty, exit
+  // then if stopping (any fork still queued belongs to a joiner that
+  // self-executes, and a deferred task pushed later is drained by ~Pool).
+  void worker_loop() {
     for (;;) {
-      Task* t = pop_back(*deques_[static_cast<std::size_t>(id)]);
-      if (t == nullptr) t = try_steal(id);
-      if (t != nullptr) {
-        run_task(t);
+      if (Fork* f = pop_fork()) {
+        run_fork(*f);
         continue;
       }
       if (run_one_deferred()) continue;
-      // Both lanes empty this scan; on stop that is the exit condition
-      // (any fork still queued belongs to a joiner that self-executes).
-      if (stop_.load(std::memory_order_acquire)) return;
-      idle_wait();
+      std::unique_lock<std::mutex> lock(mu_);
+      if (!forks_.empty() || !bg_.empty()) continue;
+      if (stop_) return;
+      ++sleepers_;
+      cv_.wait(lock);
+      --sleepers_;
     }
   }
 
-  void run_task(Task* t) {
-    t->execute();
-    // `t` may be a stack frame its joiner is already destroying — done.
-    if (obs::enabled()) exec_tasks().add();
+  Fork* pop_fork() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (forks_.empty()) return nullptr;
+    Fork* f = forks_.back();
+    forks_.pop_back();
+    return f;
+  }
+
+  // Counts before execute(): once `done` is set, the joiner may destroy
+  // `f`, and its reads of the counters must see this fork.
+  void run_fork(Fork& f) {
+    if (obs::enabled()) {
+      exec_tasks().add();
+      if (f.forker != &detail::tl_thread_tag) exec_steals().add();
+    }
+    f.execute();
   }
 
   bool run_one_deferred() {
     std::unique_ptr<BgTask> t;
     {
-      std::lock_guard<std::mutex> lock(bg_mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       if (bg_.empty()) return false;
       t = std::move(bg_.front());
       bg_.pop_front();
@@ -299,116 +295,33 @@ class Pool {
     } catch (...) {
       // Deferred tasks are fire-and-forget; nothing to rethrow into.
     }
+    t.reset();  // the closure dies before quiesce() can return
     if (obs::enabled()) exec_tasks().add();
     bg_pending_.fetch_sub(1, std::memory_order_release);
     return true;
   }
 
-  void push_fork(Task* t) {
-    if (detail::tl_pool == this) {
-      Deque& d = *deques_[static_cast<std::size_t>(detail::tl_id)];
-      std::lock_guard<std::mutex> lock(d.mu);
-      d.q.push_back(t);
-    } else {
-      std::lock_guard<std::mutex> lock(inject_.mu);
-      inject_.q.push_back(t);
-    }
-    notify_work();
-  }
-
-  // Joins a fork by helping: run own-deque tasks (LIFO — our fork or an
-  // ancestor's, both useful) or steal until the fork's done flag is set.
-  // External joiners help from the inject queue's back (most likely their
-  // own fork) and steal singles.
-  void join_fork(ForkTaskBase& fork) {
-    const bool worker_here = detail::tl_pool == this;
-    const int id = worker_here ? detail::tl_id : -1;
+  // Joins a fork by helping: run the newest queued fork (our own, an
+  // ancestor's, or another computation's) until the fork's done flag is
+  // set.
+  void join_fork(Fork& fork) {
     while (!fork.done.load(std::memory_order_acquire)) {
-      Task* t = worker_here
-                    ? pop_back(*deques_[static_cast<std::size_t>(id)])
-                    : pop_back(inject_);
-      if (t == nullptr) t = try_steal(id);
-      if (t != nullptr) {
-        run_task(t);
-        continue;
-      }
-      std::this_thread::yield();
-    }
-  }
-
-  static Task* pop_back(Deque& d) {
-    std::lock_guard<std::mutex> lock(d.mu);
-    if (d.q.empty()) return nullptr;
-    Task* t = d.q.back();
-    d.q.pop_back();
-    return t;
-  }
-
-  // Steals from the front of some victim (worker deques + the inject
-  // queue). A worker thief takes half the victim's queue, parking the
-  // extras on its own deque (where peers can re-steal them); an external
-  // thief has no deque and takes one.
-  Task* try_steal(int self) {
-    const int n = static_cast<int>(deques_.size());
-    const unsigned start = steal_cursor_.fetch_add(1, std::memory_order_relaxed);
-    Task* first = nullptr;
-    std::vector<Task*> extra;
-    for (int i = 0; i <= n && first == nullptr; ++i) {
-      const int v = static_cast<int>((start + static_cast<unsigned>(i)) %
-                                     static_cast<unsigned>(n + 1));
-      if (v == self) continue;
-      Deque& d = v == n ? inject_ : *deques_[static_cast<std::size_t>(v)];
-      std::lock_guard<std::mutex> lock(d.mu);
-      if (d.q.empty()) continue;
-      const std::size_t take = self >= 0 ? (d.q.size() + 1) / 2 : 1;
-      first = d.q.front();
-      d.q.pop_front();
-      for (std::size_t k = 1; k < take; ++k) {
-        extra.push_back(d.q.front());
-        d.q.pop_front();
+      if (Fork* f = pop_fork()) {
+        run_fork(*f);
+      } else {
+        std::this_thread::yield();
       }
     }
-    if (first != nullptr && !extra.empty()) {
-      {
-        Deque& own = *deques_[static_cast<std::size_t>(self)];
-        std::lock_guard<std::mutex> lock(own.mu);
-        for (Task* t : extra) own.q.push_back(t);
-      }
-      notify_work();
-    }
-    if (first != nullptr && obs::enabled()) {
-      exec_steals().add(1 + static_cast<std::uint64_t>(extra.size()));
-    }
-    return first;
   }
 
-  void idle_wait() {
-    std::unique_lock<std::mutex> lock(idle_mu_);
-    if (stop_.load(std::memory_order_acquire)) return;
-    sleepers_.fetch_add(1, std::memory_order_relaxed);
-    idle_cv_.wait_for(lock, std::chrono::milliseconds(1));
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
-  }
-
-  void notify_work() {
-    if (sleepers_.load(std::memory_order_relaxed) == 0) return;
-    {
-      std::lock_guard<std::mutex> lock(idle_mu_);
-    }
-    idle_cv_.notify_all();
-  }
-
-  std::vector<std::unique_ptr<Deque>> deques_;
-  Deque inject_;
-  std::vector<std::thread> threads_;
-  std::atomic<bool> stop_{false};
-  std::atomic<unsigned> steal_cursor_{0};
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  std::atomic<int> sleepers_{0};
-  std::mutex bg_mu_;
+  std::mutex mu_;  // guards forks_, bg_, sleepers_ and stop_
+  std::condition_variable cv_;
+  std::vector<Fork*> forks_;
   std::deque<std::unique_ptr<BgTask>> bg_;
+  int sleepers_ = 0;
+  bool stop_ = false;
   std::atomic<std::int64_t> bg_pending_{0};
+  std::vector<std::thread> threads_;
 };
 
 namespace detail {

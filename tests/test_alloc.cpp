@@ -1,4 +1,4 @@
-// Tests for the alloc/ slab allocator: magazine caches, lock-free depot,
+// Tests for the alloc/ slab allocator: magazine caches, the locked depot,
 // cross-thread block flow, the unified reclaim seam, and the invariants the
 // rest of the system leans on (a recycled block never aliases a live one;
 // ftree::live_nodes() stays exact with the pool active).
@@ -98,7 +98,7 @@ TEST(Alloc, PoolAddressReuseDoesNotResurrectDeadThreadCache) {
   // address. Destroying a pool and constructing another at the SAME address
   // (placement new makes the reuse deterministic; sequential stack pools hit
   // it by accident) must not hand back the dead pool's ThreadCache, whose
-  // magazines point into the deleted chunk table and freed slabs.
+  // magazines and slabs were freed with the dead pool.
   alignas(alloc::Pool) unsigned char storage[sizeof(alloc::Pool)];
   auto* first = ::new (static_cast<void*>(storage)) alloc::Pool(1 << 12);
   void* a = first->allocate(48);  // seeds this thread's lookaside

@@ -1,10 +1,12 @@
-// exec/pool.h: fork-join correctness (nested forks, stealing, exceptions),
-// the background defer/quiesce lane, and clean shutdown with queued work.
+// exec/pool.h: fork-join correctness (nested forks, forks run by workers,
+// exceptions), the background defer/quiesce lane, the steal count, idle
+// parking, and clean shutdown with queued work.
 // The fork-join ftree integration (bit-identical parallel bulk ops) is
 // covered by test_ftree; this file exercises the pool itself.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -19,7 +21,8 @@ namespace {
 using namespace mvcc;
 
 // Recursive fork-join sum of [lo, hi): every level forks, so a run over a
-// wide range exercises nested forks, own-deque LIFO pops, and steals.
+// wide range exercises nested forks, joiners popping the newest fork, and
+// forks run by workers.
 std::uint64_t par_sum(exec::Pool& pool, std::uint64_t lo, std::uint64_t hi) {
   if (hi - lo <= 512) {
     std::uint64_t s = 0;
@@ -50,8 +53,8 @@ TEST(Exec, NestedForksComputeTheSequentialAnswer) {
 
 TEST(Exec, WorkerStealsAnInjectedFork) {
   // fa deliberately does NOT help (it only watches the flag), so the fork
-  // can complete only if the pool's worker steals it from the inject
-  // queue — a deterministic cross-thread-execution check.
+  // can complete only if the pool's worker takes it from the fork stack —
+  // a deterministic cross-thread-execution check.
   exec::Pool pool(1);
   std::atomic<bool> fb_ran{false};
   const auto deadline =
@@ -68,9 +71,53 @@ TEST(Exec, WorkerStealsAnInjectedFork) {
         fb_ran.store(true, std::memory_order_release);
         return 2;
       });
-  EXPECT_EQ(a, 1) << "worker never stole the injected fork";
+  EXPECT_EQ(a, 1) << "no worker ran the queued fork";
   EXPECT_EQ(b, 2);
 }
+
+#if !defined(MVCC_STATS_DISABLED)
+TEST(Exec, StealsCountForksRunOffTheForkerThread) {
+  obs::set_enabled(true);
+  obs::Counter& steals = exec::exec_steals();
+  exec::Pool pool(1);
+
+  // Occupy the only worker with a deferred task, so the joiner must run
+  // its own fork: no steal.
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  pool.defer([&] {
+    started.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::uint64_t before = steals.value();
+  auto [a, b] = pool.invoke2([] { return 1; }, [] { return 2; });
+  EXPECT_EQ(a + b, 3);
+  EXPECT_EQ(steals.value(), before);
+  release.store(true, std::memory_order_release);
+  pool.quiesce();
+
+  // fa waits for fb without helping, so the worker must run the fork.
+  std::atomic<bool> fb_ran{false};
+  before = steals.value();
+  auto [c, d] = pool.invoke2(
+      [&] {
+        while (!fb_ran.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        return 1;
+      },
+      [&] {
+        fb_ran.store(true, std::memory_order_release);
+        return 2;
+      });
+  EXPECT_EQ(c + d, 3);
+  EXPECT_EQ(steals.value(), before + 1);
+  obs::set_enabled(false);
+}
+#endif  // !MVCC_STATS_DISABLED
 
 TEST(ExecStress, ForkJoinFromManyExternalThreadsUnderContention) {
   exec::Pool pool(2);
@@ -167,6 +214,23 @@ TEST(Exec, ShutdownDrainsQueuedDeferredTasks) {
     // No quiesce: ~Pool itself must drain the backed-up lane.
   }
   EXPECT_EQ(ran.load(), 50);
+}
+
+// Process CPU time of every thread, in milliseconds.
+double process_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+TEST(Exec, IdlePoolBurnsNoCpu) {
+  exec::Pool pool(3);
+  auto [a, b] = pool.invoke2([] { return 1; }, [] { return 2; });
+  EXPECT_EQ(a + b, 3);
+  const double before = process_cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_LT(process_cpu_ms() - before, 5.0) << "idle workers are polling";
 }
 
 TEST(Exec, NonPositiveWorkerCountClampsToOne) {
