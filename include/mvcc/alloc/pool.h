@@ -6,14 +6,17 @@
 // sets, so retired blocks can be recycled wholesale into thread-local
 // caches instead of trickling through the global heap one free() at a
 // time (the insight the space-bounded MVGC follow-ups build on). The
-// design is Bonwick's magazine layer:
+// design is Bonwick's magazine layer, in ONE process-wide pool
+// (Pool::instance(), immortal; no other Pool can be built):
 //
-//   ThreadCache  per thread, per size class: two magazines (`loaded` and
-//                `previous`, each holding up to kMagazineSize free
-//                blocks). Allocation pops from `loaded`; free pushes onto
-//                it; when one runs dry/full the two swap, so a thread
-//                ping-ponging alloc/free near a magazine boundary never
-//                touches shared state.
+//   ThreadCache  one thread_local per thread, per size class two
+//                magazines (`loaded` and `previous`, each holding up to
+//                kMagazineSize free blocks). Allocation pops from
+//                `loaded`; free pushes onto it; when one runs dry/full the
+//                two swap, so a thread ping-ponging alloc/free near a
+//                magazine boundary never touches shared state. Its
+//                destructor parks both magazines in the depot at thread
+//                exit, so a dead thread's free blocks stay allocatable.
 //   Depot        per size class, global: two stacks of WHOLE magazines
 //                (full of blocks / empty) under the class's mutex. A
 //                cache miss exchanges magazines with the depot — one lock
@@ -21,10 +24,10 @@
 //                makes cross-thread free cheap: blocks freed on thread B
 //                flow back to allocating thread A a magazine at a time.
 //   Slabs        when the depot is dry too, the size class carves a fresh
-//                magazine's worth of blocks out of a slab
-//                (kDefaultSlabBytes, 64 KiB) obtained from operator new.
-//                Slabs are never returned to the OS while the pool
-//                lives — blocks recirculate.
+//                magazine's worth of blocks out of a slab (kSlabBytes,
+//                64 KiB) obtained from operator new. Slabs are never
+//                returned: blocks recirculate, and the immortal pool's
+//                magazines keep every slab reachable at exit.
 //
 // The depot is touched once per kMagazineSize blocks: the end-to-end runs
 // count 145-484 transfers per thousand ops, under 100k per second, which a
@@ -40,12 +43,11 @@
 // block that is already poisoned aborts as a double free.
 //
 // Telemetry (obs/ registry, touched only under obs::enabled()):
-//   alloc/slabs_live       slabs currently backing the pools
+//   alloc/slabs_live       slabs carved so far (never freed)
 //   alloc/cache_hits       allocations served by a thread-local magazine
 //   alloc/depot_transfers  whole-magazine moves between caches and depot
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -87,7 +89,7 @@ inline constexpr std::size_t kQuantum = 16;
 inline constexpr std::size_t kNumClasses = 16;
 inline constexpr std::size_t kMaxBlockBytes = kQuantum * kNumClasses;
 inline constexpr std::size_t kMagazineSize = 64;  // blocks per magazine
-inline constexpr std::size_t kDefaultSlabBytes = std::size_t{1} << 16;
+inline constexpr std::size_t kSlabBytes = std::size_t{1} << 16;
 
 inline constexpr std::size_t size_class(std::size_t bytes) {
   return (bytes + kQuantum - 1) / kQuantum - 1;
@@ -111,9 +113,9 @@ struct AllocStats {
   }
 };
 
-// Slabs currently live across every Pool, maintained unconditionally (one
-// relaxed add per SLAB, nowhere near a hot path) so the footprint sampler
-// can plot pooled memory growth without obs on.
+// Slabs the pool has carved so far (it never frees one), maintained
+// unconditionally (one relaxed add per SLAB, nowhere near a hot path) so
+// the footprint sampler can plot pooled memory growth without obs on.
 inline std::atomic<std::int64_t> g_slabs_live{0};
 
 // Registers the slab-count probe with the obs sampler. Idempotent; called
@@ -123,8 +125,6 @@ inline void register_alloc_probes() {
     return g_slabs_live.load(std::memory_order_relaxed);
   });
 }
-
-class Pool;
 
 namespace detail {
 
@@ -136,78 +136,36 @@ struct Magazine {
   void* items[kMagazineSize];
 };
 
-// One thread's magazine pair for every size class of one Pool. Nodes are
-// heap-allocated, linked into the thread's cache list (below), and flushed
-// back to the owner's depot when the thread exits.
+// One thread's magazine pair for every size class. Each thread has exactly
+// one (a thread_local in Pool::local_cache); its destructor parks the
+// magazines in the depot when the thread exits.
 struct ThreadCache {
   struct Slot {
     Magazine* loaded = nullptr;
     Magazine* previous = nullptr;
   };
 
-  Pool* owner = nullptr;  // nulled if the pool dies first
-  ThreadCache* next = nullptr;
   Slot cls[kNumClasses];
+
+  ~ThreadCache();  // defined after Pool: flushes into the depot
 };
-
-// Coordinates thread-exit cache flushes against ~Pool. Immortal (never
-// destroyed) so a late-exiting thread can always take it, whatever order
-// static destruction picks. Lock order: registry_mutex() before any size
-// class's mutex (a flush parks magazines while holding both).
-inline std::mutex& registry_mutex() {
-  static std::mutex* m = new std::mutex;
-  return *m;
-}
-
-struct ThreadCacheList {
-  ThreadCache* head = nullptr;
-  ~ThreadCacheList();  // defined after Pool: flushes into the owners
-};
-
-inline ThreadCacheList& tl_caches() {
-  thread_local ThreadCacheList list;
-  return list;
-}
 
 }  // namespace detail
 
+// The process-wide slab pool. There is exactly one, instance(): immortal
+// (built with new, never destroyed), so worker threads and thread caches
+// may outlive any static destruction order, and its slabs stay reachable
+// for LeakSanitizer at exit instead of being freed.
 class Pool {
  public:
   struct Stats {
     std::int64_t slabs = 0;
-    std::int64_t magazines = 0;
     std::int64_t depot_transfers = 0;
   };
-
-  // Tests pass small slabs to force slab churn. The floor keeps a slab big
-  // enough to carve whole magazines of the largest class.
-  explicit Pool(std::size_t slab_bytes = kDefaultSlabBytes)
-      : slab_bytes_(std::max<std::size_t>(slab_bytes, std::size_t{1} << 12)) {}
 
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
-  // Destroying a pool invalidates every block it ever handed out. Caches
-  // registered by still-live threads are detached (their flush becomes a
-  // no-op) — used by tests; the process-wide instance() is never destroyed.
-  ~Pool() {
-    {
-      std::lock_guard<std::mutex> lock(detail::registry_mutex());
-      for (detail::ThreadCache* c : caches_) c->owner = nullptr;
-      caches_.clear();
-    }
-    for (void* slab : slabs_) {
-      MVCC_ALLOC_UNPOISON(slab, slab_bytes_);
-      ::operator delete(slab);
-    }
-    g_slabs_live.fetch_sub(static_cast<std::int64_t>(slabs_.size()),
-                           std::memory_order_relaxed);
-  }
-
-  // The process-wide pool every subsystem allocates from. Immortal (built
-  // with new, never destroyed): worker threads and thread caches may
-  // outlive any static destruction order, and still-reachable memory is
-  // what LeakSanitizer expects at exit.
   static Pool& instance() {
     static Pool* p = new Pool();
     return *p;
@@ -255,16 +213,15 @@ class Pool {
 
   Stats stats() const {
     Stats s;
-    s.slabs = slab_count_.load(std::memory_order_relaxed);
-    s.magazines = magazine_count_.load(std::memory_order_relaxed);
+    s.slabs = g_slabs_live.load(std::memory_order_relaxed);
     s.depot_transfers = transfer_count_.load(std::memory_order_relaxed);
     return s;
   }
 
-  std::size_t slab_bytes() const { return slab_bytes_; }
-
  private:
-  friend struct detail::ThreadCacheList;
+  friend struct detail::ThreadCache;
+
+  Pool() = default;
 
   // One size class's depot and slab carving, all guarded by `mu`. The
   // class owns every magazine it ever made; `full` and `empty` hold the
@@ -278,44 +235,21 @@ class Pool {
     char* end = nullptr;
   };
 
+  static detail::ThreadCache& local_cache() {
+    thread_local detail::ThreadCache cache;
+    return cache;
+  }
+
   // An empty magazine from the depot, or a new one the class owns. Called
   // under sc.mu.
-  detail::Magazine* take_empty(SizeClass& sc) {
+  static detail::Magazine* take_empty(SizeClass& sc) {
     if (sc.empty.empty()) {
       sc.owned.push_back(std::make_unique<detail::Magazine>());
-      magazine_count_.fetch_add(1, std::memory_order_relaxed);
       return sc.owned.back().get();
     }
     detail::Magazine* m = sc.empty.back();
     sc.empty.pop_back();
     return m;
-  }
-
-  detail::ThreadCache& local_cache() {
-    // One-entry lookaside: almost every call in a process uses instance().
-    // The owner check guards against a dead pool's address being reused by
-    // a new Pool (sequential stack-allocated pools in tests): ~Pool nulls
-    // each cache's owner, and the cache object itself is owned by the
-    // thread's list, so it stays dereferenceable until thread exit.
-    thread_local Pool* last_pool = nullptr;
-    thread_local detail::ThreadCache* last_cache = nullptr;
-    if (last_pool == this && last_cache->owner == this) return *last_cache;
-    detail::ThreadCacheList& list = detail::tl_caches();
-    detail::ThreadCache* c = list.head;
-    while (c != nullptr && c->owner != this) c = c->next;
-    if (c == nullptr) {
-      c = new detail::ThreadCache;
-      c->owner = this;
-      {
-        std::lock_guard<std::mutex> lock(detail::registry_mutex());
-        caches_.push_back(c);
-      }
-      c->next = list.head;
-      list.head = c;
-    }
-    last_pool = this;
-    last_cache = c;
-    return *c;
   }
 
   void* allocate_slow(std::size_t ci, detail::ThreadCache::Slot& slot) {
@@ -341,19 +275,13 @@ class Pool {
   }
 
   // Called under sc.mu.
-  void carve(std::size_t ci, SizeClass& sc, detail::Magazine& m) {
+  static void carve(std::size_t ci, SizeClass& sc, detail::Magazine& m) {
     const std::size_t bs = class_bytes(ci);
     while (m.count < kMagazineSize) {
       if (sc.cur == nullptr ||
           static_cast<std::size_t>(sc.end - sc.cur) < bs) {
-        char* slab = static_cast<char*>(::operator new(slab_bytes_));
-        {
-          std::lock_guard<std::mutex> slock(slabs_mu_);
-          slabs_.push_back(slab);
-        }
-        sc.cur = slab;
-        sc.end = slab + slab_bytes_;
-        slab_count_.fetch_add(1, std::memory_order_relaxed);
+        sc.cur = static_cast<char*>(::operator new(kSlabBytes));
+        sc.end = sc.cur + kSlabBytes;
         const std::int64_t live =
             g_slabs_live.fetch_add(1, std::memory_order_relaxed) + 1;
         if (obs::enabled()) AllocStats::get().slabs_live.set(live);
@@ -405,8 +333,7 @@ class Pool {
   }
 
   // Thread exit: park the cache's magazines back in the depot so their
-  // blocks stay allocatable. Called under registry_mutex(), which is taken
-  // before each class mutex.
+  // blocks stay allocatable.
   void flush_cache(detail::ThreadCache& cache) {
     for (std::size_t ci = 0; ci < kNumClasses; ++ci) {
       SizeClass& sc = classes_[ci];
@@ -423,13 +350,6 @@ class Pool {
       }
       cache.cls[ci] = {};
     }
-    for (std::size_t i = 0; i < caches_.size(); ++i) {
-      if (caches_[i] == &cache) {
-        caches_[i] = caches_.back();
-        caches_.pop_back();
-        break;
-      }
-    }
   }
 
   void note_transfer() {
@@ -437,31 +357,13 @@ class Pool {
     if (obs::enabled()) AllocStats::get().depot_transfers.add();
   }
 
-  const std::size_t slab_bytes_;
   SizeClass classes_[kNumClasses];
-  std::mutex slabs_mu_;
-  std::vector<void*> slabs_;
-  std::vector<detail::ThreadCache*> caches_;  // under registry_mutex()
-  std::atomic<std::int64_t> slab_count_{0};
-  std::atomic<std::int64_t> magazine_count_{0};
   std::atomic<std::int64_t> transfer_count_{0};
 };
 
-namespace detail {
-
-inline ThreadCacheList::~ThreadCacheList() {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  ThreadCache* c = head;
-  while (c != nullptr) {
-    ThreadCache* next = c->next;
-    if (c->owner != nullptr) c->owner->flush_cache(*c);
-    delete c;
-    c = next;
-  }
-  head = nullptr;
+inline detail::ThreadCache::~ThreadCache() {
+  Pool::instance().flush_cache(*this);
 }
-
-}  // namespace detail
 
 // Whether a block of `bytes` fits a size class; larger ones take plain
 // operator new/delete.

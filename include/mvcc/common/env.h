@@ -26,7 +26,7 @@
 //
 // Library code reads only MVCC_SCALE and MVCC_THREADS (through config()).
 // Execution policies are compile-time constants: the fork-join grain
-// (ftree/ops.h kBulkGrain), the slab size (alloc/pool.h kDefaultSlabBytes)
+// (ftree/ops.h kBulkGrain), the slab size (alloc/pool.h kSlabBytes)
 // and the reclaim lane, which txn/batching.h picks from the committed
 // batch size (kDeferMinBatch). A txn::ShardedMap's shard count is its
 // constructor argument.

@@ -182,11 +182,13 @@ class Pool {
   void defer(F&& fn) {
     auto task =
         std::make_unique<BgTaskImpl<std::decay_t<F>>>(std::forward<F>(fn));
-    bg_pending_.fetch_add(1, std::memory_order_release);
     bool wake;
     {
+      // Count the task only once it is queued: a throwing push_back must
+      // not leave quiesce() waiting on a task that never ran.
       std::lock_guard<std::mutex> lock(mu_);
       bg_.push_back(std::move(task));
+      bg_pending_.fetch_add(1, std::memory_order_release);
       wake = sleepers_ > 0;
     }
     if (wake) cv_.notify_one();

@@ -166,30 +166,6 @@ inline typename A::T aug_of(const Node<K, V, A>* t) {
   return t != nullptr ? t->aug : A::zero();
 }
 
-// The allocation policy every node goes through — the explicit seam
-// between the tree algorithms and the alloc/ slab pool. `create`/`destroy`
-// are the unit operations; `free_batch` hands an exact freed set's raw
-// storage (destructors already run) back to the pool wholesale, which is
-// what makes a precise collect O(freed) in the allocator too, not just in
-// the traversal.
-struct NodeAlloc {
-  template <class N, class... Args>
-  static N* create(Args&&... args) {
-    return alloc::create<N>(std::forward<Args>(args)...);
-  }
-
-  template <class N>
-  static void destroy(N* n) {
-    alloc::destroy(n);
-  }
-
-  template <class N>
-  static void free_batch(std::vector<void*>& mem) {
-    alloc::deallocate_batch(mem.data(), mem.size(), sizeof(N));
-    mem.clear();
-  }
-};
-
 // Allocates a node owning the references `l` and `r` (no count adjustment:
 // ownership transfers in). The returned pointer is one owned reference.
 template <class K, class V, class A>
@@ -198,7 +174,7 @@ Node<K, V, A>* make_node(const K& k, const V& v, Node<K, V, A>* l,
   const long long now =
       g_live_nodes.fetch_add(1, std::memory_order_relaxed) + 1;
   if (obs::enabled()) note_nodes_alloc(now, sizeof(Node<K, V, A>));
-  return NodeAlloc::create<Node<K, V, A>>(k, v, l, r);
+  return alloc::create<Node<K, V, A>>(k, v, l, r);
 }
 
 // Takes an additional owned reference to `t` (which may be null).
@@ -263,7 +239,8 @@ std::size_t collect(Node<K, V, A>* t) {
     freed_mem.push_back(dead);
     ++freed;
   }
-  NodeAlloc::free_batch<Node<K, V, A>>(freed_mem);
+  alloc::deallocate_batch(freed_mem.data(), freed_mem.size(),
+                          sizeof(Node<K, V, A>));
   if (outermost) shared_stack_in_use = false;
   g_live_nodes.fetch_sub(static_cast<long long>(freed),
                          std::memory_order_relaxed);
@@ -287,7 +264,7 @@ inline void expose(Node<K, V, A>* t, Node<K, V, A>** l, Node<K, V, A>** r,
   if (t->refs.load(std::memory_order_acquire) == 1) {
     *l = t->left;
     *r = t->right;
-    NodeAlloc::destroy(t);
+    alloc::destroy(t);
     g_live_nodes.fetch_sub(1, std::memory_order_relaxed);
     if (obs::enabled()) note_nodes_freed(sizeof(Node<K, V, A>));
   } else {
@@ -309,7 +286,7 @@ inline void expose(Node<K, V, A>* t, Node<K, V, A>** l, Node<K, V, A>** r,
       if (t->right != nullptr) {
         t->right->refs.fetch_sub(1, std::memory_order_acq_rel);
       }
-      NodeAlloc::destroy(t);
+      alloc::destroy(t);
       g_live_nodes.fetch_sub(1, std::memory_order_relaxed);
       if (obs::enabled()) note_nodes_freed(sizeof(Node<K, V, A>));
     }

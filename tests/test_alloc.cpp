@@ -10,6 +10,7 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "mvcc/alloc/pool.h"
@@ -19,6 +20,12 @@
 namespace {
 
 using namespace mvcc;
+
+// The pool is the process-wide instance() and nothing else: no second
+// pool can be built or copied.
+static_assert(!std::is_default_constructible_v<alloc::Pool>);
+static_assert(!std::is_copy_constructible_v<alloc::Pool>);
+static_assert(!std::is_copy_assignable_v<alloc::Pool>);
 
 TEST(Alloc, SizeClassMapping) {
   EXPECT_EQ(alloc::size_class(1), 0u);
@@ -33,7 +40,7 @@ TEST(Alloc, SizeClassMapping) {
 }
 
 TEST(Alloc, RoundTripAndAlignment) {
-  alloc::Pool pool(1 << 12);
+  alloc::Pool& pool = alloc::Pool::instance();
   std::set<void*> seen;
   std::vector<void*> blocks;
   for (int i = 0; i < 500; ++i) {
@@ -48,7 +55,7 @@ TEST(Alloc, RoundTripAndAlignment) {
 }
 
 TEST(Alloc, RecyclesFreedBlocksWithoutNewSlabs) {
-  alloc::Pool pool(1 << 12);
+  alloc::Pool& pool = alloc::Pool::instance();
   std::vector<void*> blocks;
   for (int i = 0; i < 256; ++i) blocks.push_back(pool.allocate(64));
   const std::int64_t slabs_after_warmup = pool.stats().slabs;
@@ -64,7 +71,7 @@ TEST(Alloc, RecyclesFreedBlocksWithoutNewSlabs) {
 }
 
 TEST(Alloc, ReusedBlockNeverAliasesLiveBlock) {
-  alloc::Pool pool(1 << 12);
+  alloc::Pool& pool = alloc::Pool::instance();
   std::set<void*> live;
   std::vector<void*> dead;
   // Interleave: keep every odd allocation live, free the even ones, then
@@ -93,28 +100,8 @@ TEST(Alloc, ReusedBlockNeverAliasesLiveBlock) {
   }
 }
 
-TEST(Alloc, PoolAddressReuseDoesNotResurrectDeadThreadCache) {
-  // Regression: local_cache()'s thread-local lookaside keys on the Pool
-  // address. Destroying a pool and constructing another at the SAME address
-  // (placement new makes the reuse deterministic; sequential stack pools hit
-  // it by accident) must not hand back the dead pool's ThreadCache, whose
-  // magazines and slabs were freed with the dead pool.
-  alignas(alloc::Pool) unsigned char storage[sizeof(alloc::Pool)];
-  auto* first = ::new (static_cast<void*>(storage)) alloc::Pool(1 << 12);
-  void* a = first->allocate(48);  // seeds this thread's lookaside
-  ASSERT_NE(a, nullptr);
-  first->deallocate(a, 48);
-  first->~Pool();
-  auto* second = ::new (static_cast<void*>(storage)) alloc::Pool(1 << 12);
-  void* b = second->allocate(48);  // must re-register, not reuse the stale cache
-  ASSERT_NE(b, nullptr);
-  std::memset(b, 0x7e, 48);  // ASan faults here if the block came off a dead slab
-  second->deallocate(b, 48);
-  second->~Pool();
-}
-
 TEST(Alloc, CrossThreadFree) {
-  alloc::Pool pool(1 << 12);
+  alloc::Pool& pool = alloc::Pool::instance();
   constexpr int kBlocks = 1000;
   std::vector<void*> blocks;
   for (int i = 0; i < kBlocks; ++i) blocks.push_back(pool.allocate(48));
@@ -143,7 +130,7 @@ TEST(Alloc, DepotTransferUnderContention) {
   // Producer/consumer pairs force whole-magazine depot traffic: producers
   // allocate and publish blocks, consumers free them. Every block must be
   // handed out exactly once while live (no depot pop may duplicate one).
-  alloc::Pool pool(1 << 14);
+  alloc::Pool& pool = alloc::Pool::instance();
   constexpr int kThreads = 4;
   constexpr int kPerThread = 4000;
   std::mutex mu;
