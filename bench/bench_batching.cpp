@@ -56,7 +56,7 @@ Result run(const std::string& label, int shards, std::size_t max_batch,
   // Opened before the map and producer threads spawn: perf inherit only
   // covers threads created after the counters exist.
   obs::PerfCell perf(label);
-  SMap map(producers, {}, shards, /*buffer_capacity=*/1 << 14, max_batch);
+  SMap map(producers, {}, shards, max_batch);
   obs::LatencyHistogram latency;
   const bench::Window w = bench::steady_state(
       producers, warmup, seconds,

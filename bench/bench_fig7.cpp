@@ -178,8 +178,7 @@ template <template <typename> class VMImpl>
 CellResult run_ours(const YcsbSpec& spec, const ZipfGenerator& zipf,
                     const CellConfig& cfg, const std::string& label) {
   using Map = OursMap<VMImpl>;
-  Map map(cfg.threads, workload::ycsb_dataset(cfg.keys), /*shards=*/1,
-          /*buffer_capacity=*/1 << 14);
+  Map map(cfg.threads, workload::ycsb_dataset(cfg.keys), /*shards=*/1);
 
   struct Adapter {
     Map& m;

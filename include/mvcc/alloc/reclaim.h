@@ -96,10 +96,9 @@ void reclaim_payloads(std::vector<T*> dead, Dispose dispose = {},
 }
 
 // Blocks until every batch ever routed to the background lane has been
-// freed (helping drain from the calling thread). Trivially quiescent when
-// the pool was never created or the lane never engaged. The txn/ engine's
-// and the managers' destructors quiesce, so deferred reclamation never leaks
-// at shutdown.
-inline void reclaim_quiesce() { exec::quiesce_deferred(); }
+// freed (helping drain from the calling thread). Whoever routes a batch
+// there quiesces before it goes away: the txn/ engine's destructor does,
+// so deferred reclamation never leaks at shutdown.
+inline void reclaim_quiesce() { exec::Pool::instance().quiesce(); }
 
 }  // namespace mvcc::alloc

@@ -18,8 +18,9 @@
 //     self-executes), centralizing the old per-site fallbacks.
 //   * BACKGROUND (defer/quiesce): defer(fn) queues work workers run only
 //     when the fork stack is empty; quiesce() helps drain and blocks until
-//     every deferred task has COMPLETED. vm/base.h publishes exact freed
-//     sets here so release/set return before the destructors run.
+//     every deferred task has COMPLETED. txn/'s engine publishes the exact
+//     freed sets of large commits here so a commit returns before their
+//     destructors run.
 //
 // Queue design: one mutex guards both lanes — a fork stack popped newest
 // first and a FIFO deferred queue. The bulk ops halve their budget at every
@@ -32,14 +33,13 @@
 // a push (made under it) cannot miss a sleeper and an idle pool burns no
 // CPU. A push notifies one sleeper, and only when one exists.
 //
-// Lifetime: Pool::instance() is a lazy singleton torn down at static
-// destruction; its constructor touches the obs registry/tracer singletons
-// first so they are destroyed after the workers are joined. Shutdown
-// drains both lanes (workers exit only once both are empty; the destructor
-// self-drains stragglers deferred afterwards), so deferred reclamation can
-// never leak at process exit. invoke2 must not be in flight across ~Pool
-// (joiners self-execute, so this only requires not destroying the pool
-// mid-computation).
+// Lifetime: Pool::instance() is the only pool. It is built on first use
+// and never destroyed, so its workers never join. Workers touch obs/ only
+// while running a task, and a task (its exec/ counts included) finishes
+// before its invoke2 returns or before quiesce() sees the lane empty, so
+// static destruction never races a worker. Whoever defers must quiesce
+// before exit: txn/'s engine, the only library code that defers, drains
+// the lane in its destructor.
 #pragma once
 
 #include <atomic>
@@ -89,50 +89,14 @@ class Pool {
   // consumer.
   static int default_workers() { return std::max(1, config().threads - 1); }
 
-  explicit Pool(int workers) {
-    const int n = std::max(1, workers);
-    // Touch the process-lifetime singletons the workers use so static
-    // destruction runs them AFTER ~Pool has joined the threads.
-    (void)obs::registry();
-    (void)obs::Tracer::instance();
-    (void)obs::trace_now_ns();
-    if (obs::enabled()) {
-      (void)exec_tasks();
-      (void)exec_steals();
-    }
-    threads_.reserve(static_cast<std::size_t>(n));
-    try {
-      for (int i = 0; i < n; ++i) {
-        threads_.emplace_back([this] { worker_loop(); });
-      }
-    } catch (const std::system_error&) {
-      // Thread limits: run with however many workers actually started.
-      // Even zero works — invoke2 callers and quiesce self-execute.
-    }
-  }
-
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
-  ~Pool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-    // Workers drained both lanes before exiting; self-drain anything
-    // deferred in the teardown window.
-    while (run_one_deferred()) {
-    }
-  }
-
   // The process-wide pool, created on first use and sized default_workers().
-  static Pool& instance();
-
-  // The process-wide pool if instance() has ever run, else nullptr — so
-  // quiesce paths need not create a pool just to find nothing to drain.
-  static Pool* instance_if_created();
+  static Pool& instance() {
+    static Pool* p = new Pool(default_workers());
+    return *p;
+  }
 
   // Worker threads actually running (may be below the requested count
   // under thread exhaustion; the pool still functions).
@@ -209,6 +173,18 @@ class Pool {
   }
 
  private:
+  explicit Pool(int workers) {
+    threads_.reserve(static_cast<std::size_t>(workers));
+    try {
+      for (int i = 0; i < workers; ++i) {
+        threads_.emplace_back([this] { worker_loop(); });
+      }
+    } catch (const std::system_error&) {
+      // Thread limits: run with however many workers actually started.
+      // Even zero works — invoke2 callers and quiesce self-execute.
+    }
+  }
+
   struct Fork {
     virtual void execute() = 0;
     const char* forker = &detail::tl_thread_tag;
@@ -247,9 +223,7 @@ class Pool {
     void run() override { fn(); }
   };
 
-  // Forks before deferred tasks; sleep when both lanes are empty, exit
-  // then if stopping (any fork still queued belongs to a joiner that
-  // self-executes, and a deferred task pushed later is drained by ~Pool).
+  // Forks before deferred tasks; sleep when both lanes are empty.
   void worker_loop() {
     for (;;) {
       if (Fork* f = pop_fork()) {
@@ -259,7 +233,6 @@ class Pool {
       if (run_one_deferred()) continue;
       std::unique_lock<std::mutex> lock(mu_);
       if (!forks_.empty() || !bg_.empty()) continue;
-      if (stop_) return;
       ++sleepers_;
       cv_.wait(lock);
       --sleepers_;
@@ -316,40 +289,14 @@ class Pool {
     }
   }
 
-  std::mutex mu_;  // guards forks_, bg_, sleepers_ and stop_
+  std::mutex mu_;  // guards forks_, bg_ and sleepers_
   std::condition_variable cv_;
   std::vector<Fork*> forks_;
   std::deque<std::unique_ptr<BgTask>> bg_;
   int sleepers_ = 0;
-  bool stop_ = false;
   std::atomic<std::int64_t> bg_pending_{0};
   std::vector<std::thread> threads_;
 };
-
-namespace detail {
-inline std::atomic<Pool*>& global_slot() {
-  static std::atomic<Pool*> slot{nullptr};
-  return slot;
-}
-
-// Wraps the singleton so the published pointer is set after construction
-// completes and cleared before destruction begins — instance_if_created()
-// never observes a half-built or dying pool.
-struct GlobalPool {
-  Pool pool{Pool::default_workers()};
-  GlobalPool() { global_slot().store(&pool, std::memory_order_release); }
-  ~GlobalPool() { global_slot().store(nullptr, std::memory_order_release); }
-};
-}  // namespace detail
-
-inline Pool& Pool::instance() {
-  static detail::GlobalPool g;
-  return g.pool;
-}
-
-inline Pool* Pool::instance_if_created() {
-  return detail::global_slot().load(std::memory_order_acquire);
-}
 
 // Fork-join on the process-wide pool: {fa(), fb()} with fb potentially on
 // a worker. See Pool::invoke2.
@@ -362,12 +309,6 @@ auto invoke2(FA&& fa, FB&& fb) {
 template <class F>
 void defer(F&& fn) {
   Pool::instance().defer(std::forward<F>(fn));
-}
-
-// Drains the process-wide pool's background lane if the pool exists;
-// trivially quiescent otherwise.
-inline void quiesce_deferred() {
-  if (Pool* p = Pool::instance_if_created()) p->quiesce();
 }
 
 }  // namespace mvcc::exec

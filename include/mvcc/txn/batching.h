@@ -38,7 +38,7 @@
 // the sort + bulk-union) against submit-to-commit latency. So that the
 // trade is governed by the knob and not by queueing depth, admission
 // control bounds each producer's submitted-but-uncommitted ops at
-// ~max_batch (capped by ring capacity): a submitted op always lands in the
+// ~max_batch (capped at kMaxInflight): a submitted op always lands in the
 // batch being filled or the one after it, so its commit is at most about
 // two batch publications away.
 #pragma once
@@ -139,17 +139,12 @@ class BatchingMap {
   static_assert(vm::VersionManagerFor<VM, Map>);
 
   BatchingMap(int producers, Map initial,
-              std::size_t buffer_capacity = std::size_t{1} << 14,
               std::size_t max_batch = std::size_t{1} << 16)
       : producers_(producers),
         max_batch_(max_batch > 0 ? max_batch : 1),
+        inflight_limit_(std::clamp<std::uint64_t>(max_batch, 2, kMaxInflight)),
         vm_(producers + 1, alloc::create<Map>(std::move(initial))) {
     assert(producers >= 1);
-    const std::size_t cap =
-        std::bit_ceil(buffer_capacity > 0 ? buffer_capacity : 1);
-    inflight_limit_ = max_batch_ < cap
-                          ? std::max<std::uint64_t>(2, max_batch_)
-                          : cap;
     // A batch can never exceed what admission control lets exist at once,
     // so cap the fill target there: the flattener then never waits for ops
     // that blocked producers cannot send (no reliance on the idle timeout).
@@ -159,7 +154,7 @@ class BatchingMap {
                                static_cast<std::size_t>(inflight_limit_)));
     rings_.reserve(static_cast<std::size_t>(producers_));
     for (int p = 0; p < producers_; ++p) {
-      rings_.push_back(std::make_unique<Ring>(cap));
+      rings_.push_back(std::make_unique<Ring>(std::bit_ceil(inflight_limit_)));
     }
     // Register the txn/, reclaim-lane, and allocator metrics up front so a
     // stats-on run exports them even when an event (a stall, a reject, a
@@ -193,6 +188,8 @@ class BatchingMap {
   // control (the op is at most ~2 batch publications from commit then).
   void submit(int p, BatchOp op, const K& k, const V& v) {
     assert(p >= 0 && p < producers_);
+    assert(op == BatchOp::kUpsert);
+    (void)op;
     Ring& r = *rings_[static_cast<std::size_t>(p)];
     const std::uint64_t t = r.pushed.load(std::memory_order_relaxed);
     if (t - r.committed.load(std::memory_order_acquire) >= inflight_limit_) {
@@ -207,7 +204,6 @@ class BatchingMap {
     Slot& s = r.slots[t & r.mask];
     s.key = k;
     s.val = v;
-    s.op = op;
     // Depth up BEFORE the publish: the slot is invisible until the release
     // store, so the gauge over-counts by at most one in-flight op instead of
     // going transiently negative when the flattener drains and decrements
@@ -314,7 +310,6 @@ class BatchingMap {
   struct Slot {
     K key;
     V val;
-    BatchOp op;
   };
 
   // SPSC ring: the producer owns `pushed`, the flattener owns `popped`
@@ -333,6 +328,10 @@ class BatchingMap {
     // flattener's stall detection.
     alignas(64) std::atomic<std::uint64_t> sync_waiting{0};
   };
+
+  // Most ops one producer may have submitted but not yet committed, and so
+  // the deepest ring: admission control never lets more slots be in use.
+  static constexpr std::uint64_t kMaxInflight = std::uint64_t{1} << 14;
 
   // Idle polls (all rings empty) the flattener tolerates while holding a
   // partial batch before committing it anyway. This is the liveness valve
@@ -372,11 +371,7 @@ class BatchingMap {
         if (take == 0) continue;
         for (std::uint64_t j = 0; j < take; ++j) {
           const Slot& s = r.slots[(head + j) & r.mask];
-          switch (s.op) {
-            case BatchOp::kUpsert:
-              batch.emplace_back(s.key, s.val);
-              break;
-          }
+          batch.emplace_back(s.key, s.val);
         }
         r.popped.store(head + take, std::memory_order_release);
         from[static_cast<std::size_t>(p)] += take;
@@ -474,7 +469,7 @@ class BatchingMap {
 
   const int producers_;
   const std::size_t max_batch_;
-  std::uint64_t inflight_limit_;
+  const std::uint64_t inflight_limit_;
   std::size_t batch_target_;
   VM vm_;
   std::vector<std::unique_ptr<Ring>> rings_;

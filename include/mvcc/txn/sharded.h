@@ -117,11 +117,10 @@ class ShardedMap {
   };
 
   // `initial` is partitioned by shard_of and bulk-built per shard.
-  // `producers`, `buffer_capacity` and `max_batch` apply to every shard
-  // (each shard has `producers` rings, so any producer may submit to any
-  // shard). Producer / VM slot indices are [0, producers).
+  // `producers` and `max_batch` apply to every shard (each shard has
+  // `producers` rings, so any producer may submit to any shard). Producer /
+  // VM slot indices are [0, producers).
   ShardedMap(int producers, std::vector<Entry> initial = {}, int shards = 1,
-             std::size_t buffer_capacity = std::size_t{1} << 14,
              std::size_t max_batch = std::size_t{1} << 16)
       : nshards_(shards) {
     assert(producers >= 1);
@@ -136,7 +135,7 @@ class ShardedMap {
       shards_.push_back(std::make_unique<Shard>(
           producers,
           Map::from_entries(std::move(parts[static_cast<std::size_t>(s)])),
-          buffer_capacity, max_batch));
+          max_batch));
     }
     last_ops_.assign(static_cast<std::size_t>(nshards_), 0);
     last_batches_.assign(static_cast<std::size_t>(nshards_), 0);

@@ -85,7 +85,9 @@ inline void register_vm_probes() {
 // The reclamation seam lives in alloc/reclaim.h; vm/ clients reach it
 // under these names: `vm::reclaim_payloads(vm.release(p))` frees inline,
 // and a ReclaimLane::kBackground argument publishes the set to the exec/
-// background lane instead.
+// background lane instead. A manager's destructor does not drain that
+// lane: the client that defers calls reclaim_quiesce() before it is gone
+// (txn/'s engine does, in its destructor).
 using alloc::reclaim_payloads;
 using alloc::reclaim_queue_depth;
 using alloc::reclaim_quiesce;
@@ -200,11 +202,6 @@ class BaseVersionManager : public VmStats {
     assert(nprocs >= 1);
     (void)nprocs;
   }
-
-  // A manager's death is a quiescent point: drain the background reclaim
-  // lane so payloads this manager's clients deferred are freed before the
-  // client finishes tearing down around it.
-  ~BaseVersionManager() { reclaim_quiesce(); }
 
   static constexpr const char* name() { return "Base"; }
 

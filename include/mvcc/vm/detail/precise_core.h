@@ -86,11 +86,6 @@ class PreciseCore : public VmStats {
   PreciseCore(const PreciseCore&) = delete;
   PreciseCore& operator=(const PreciseCore&) = delete;
 
-  // A manager's death is a quiescent point: drain the background reclaim
-  // lane so payloads its clients deferred are freed before teardown
-  // completes (live_nodes-to-baseline holds right after the manager dies).
-  ~PreciseCore() { reclaim_quiesce(); }
-
   // Un-announces process p's version and, when this release removed the
   // last reference to a retired version, claims it and returns its payload
   // — the exact freed set of this operation.
@@ -183,11 +178,11 @@ class PreciseCore : public VmStats {
     return r;
   }
 
-  // Writer-only: publishes `rec` as current and retires the version it
-  // replaces. The RETIRED store is what opens the old version to claiming,
-  // so it comes after the current-pointer swap (release's safety argument
-  // leans on this order).
-  Rec* publish_and_retire(Rec* rec) {
+  // Writer-only: publishes `rec` as current and returns the version it
+  // replaced, still CURRENT. The caller retires it with retire(old), whose
+  // RETIRED store opens it to claiming, so it must come after this swap
+  // (release's safety argument leans on this order).
+  Rec* publish(Rec* rec) {
     Rec* old = current_.load(std::memory_order_relaxed);
     current_.store(rec, std::memory_order_seq_cst);
     return old;

@@ -53,7 +53,7 @@ class PslfVersionManager : public detail::PreciseCore<T> {
   std::vector<T*> set(int p, T* next) {
     (void)p;
     Rec* rec = this->alloc_rec(next);
-    Rec* old = this->publish_and_retire(rec);
+    Rec* old = this->publish(rec);
     this->retire(old);
     return this->sweep();
   }

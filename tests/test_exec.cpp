@@ -1,6 +1,7 @@
 // exec/pool.h: fork-join correctness (nested forks, forks run by workers,
 // exceptions), the background defer/quiesce lane, the steal count, idle
-// parking, and clean shutdown with queued work.
+// parking, and the single immortal pool. Every test uses Pool::instance()
+// and leaves its lanes empty.
 // The fork-join ftree integration (bit-identical parallel bulk ops) is
 // covered by test_ftree; this file exercises the pool itself.
 #include <atomic>
@@ -10,6 +11,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,11 @@
 namespace {
 
 using namespace mvcc;
+
+// The pool is the process-wide instance() and nothing else: no second
+// pool can be built or copied.
+static_assert(!std::is_default_constructible_v<exec::Pool>);
+static_assert(!std::is_copy_constructible_v<exec::Pool>);
 
 // Recursive fork-join sum of [lo, hi): every level forks, so a run over a
 // wide range exercises nested forks, joiners popping the newest fork, and
@@ -40,22 +47,22 @@ constexpr std::uint64_t sum_formula(std::uint64_t n) {
 }
 
 TEST(Exec, Invoke2ReturnsBothResultsInArgumentOrder) {
-  exec::Pool pool(2);
+  exec::Pool& pool = exec::Pool::instance();
   auto [a, b] = pool.invoke2([] { return 1; }, [] { return 2; });
   EXPECT_EQ(a, 1);
   EXPECT_EQ(b, 2);
 }
 
 TEST(Exec, NestedForksComputeTheSequentialAnswer) {
-  exec::Pool pool(3);
+  exec::Pool& pool = exec::Pool::instance();
   EXPECT_EQ(par_sum(pool, 0, 1 << 17), sum_formula(1 << 17));
 }
 
 TEST(Exec, WorkerStealsAnInjectedFork) {
   // fa deliberately does NOT help (it only watches the flag), so the fork
-  // can complete only if the pool's worker takes it from the fork stack —
+  // can complete only if a pool worker takes it from the fork stack —
   // a deterministic cross-thread-execution check.
-  exec::Pool pool(1);
+  exec::Pool& pool = exec::Pool::instance();
   std::atomic<bool> fb_ran{false};
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -79,19 +86,24 @@ TEST(Exec, WorkerStealsAnInjectedFork) {
 TEST(Exec, StealsCountForksRunOffTheForkerThread) {
   obs::set_enabled(true);
   obs::Counter& steals = exec::exec_steals();
-  exec::Pool pool(1);
+  exec::Pool& pool = exec::Pool::instance();
 
-  // Occupy the only worker with a deferred task, so the joiner must run
-  // its own fork: no steal.
-  std::atomic<bool> started{false};
+  // Occupy every worker with a deferred task, so the joiner must run its
+  // own fork: no steal.
+  const int workers = pool.workers();
+  std::atomic<int> started{0};
   std::atomic<bool> release{false};
-  pool.defer([&] {
-    started.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-  });
-  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  for (int i = 0; i < workers; ++i) {
+    pool.defer([&] {
+      started.fetch_add(1, std::memory_order_acq_rel);
+      while (!release.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  while (started.load(std::memory_order_acquire) < workers) {
+    std::this_thread::yield();
+  }
   std::uint64_t before = steals.value();
   auto [a, b] = pool.invoke2([] { return 1; }, [] { return 2; });
   EXPECT_EQ(a + b, 3);
@@ -120,7 +132,7 @@ TEST(Exec, StealsCountForksRunOffTheForkerThread) {
 #endif  // !MVCC_STATS_DISABLED
 
 TEST(ExecStress, ForkJoinFromManyExternalThreadsUnderContention) {
-  exec::Pool pool(2);
+  exec::Pool& pool = exec::Pool::instance();
   constexpr int kThreads = 4;
   constexpr std::uint64_t kSpan = 1 << 15;
   std::vector<std::uint64_t> sums(kThreads, 0);
@@ -141,14 +153,14 @@ TEST(ExecStress, ForkJoinFromManyExternalThreadsUnderContention) {
 }
 
 TEST(Exec, ExceptionFromForkedSidePropagates) {
-  exec::Pool pool(2);
+  exec::Pool& pool = exec::Pool::instance();
   EXPECT_THROW(pool.invoke2([] { return 1; },
                             []() -> int { throw std::runtime_error("fb"); }),
                std::runtime_error);
 }
 
 TEST(Exec, ExceptionFromInlineSidePropagatesAfterForkCompletes) {
-  exec::Pool pool(2);
+  exec::Pool& pool = exec::Pool::instance();
   std::atomic<bool> fb_ran{false};
   EXPECT_THROW(pool.invoke2(
                    [&]() -> int { throw std::runtime_error("fa"); },
@@ -163,7 +175,7 @@ TEST(Exec, ExceptionFromInlineSidePropagatesAfterForkCompletes) {
 }
 
 TEST(Exec, DeferRunsInBackgroundAndQuiesceDrains) {
-  exec::Pool pool(1);
+  exec::Pool& pool = exec::Pool::instance();
   std::atomic<int> ran{0};
   for (int i = 0; i < 100; ++i) {
     pool.defer([&ran] { ran.fetch_add(1); });
@@ -174,7 +186,7 @@ TEST(Exec, DeferRunsInBackgroundAndQuiesceDrains) {
 }
 
 TEST(Exec, QuiesceWaitsForTasksDeferredByDeferredTasks) {
-  exec::Pool pool(1);
+  exec::Pool& pool = exec::Pool::instance();
   std::atomic<int> ran{0};
   pool.defer([&pool, &ran] {
     ran.fetch_add(1);
@@ -188,7 +200,7 @@ TEST(Exec, QuiesceWaitsForTasksDeferredByDeferredTasks) {
 TEST(Exec, ForegroundHasPriorityOverDeferredWork) {
   // With the background lane backed up, fork-join work still completes
   // promptly and correctly (workers run foreground first).
-  exec::Pool pool(2);
+  exec::Pool& pool = exec::Pool::instance();
   std::atomic<int> ran{0};
   for (int i = 0; i < 64; ++i) {
     pool.defer([&ran] {
@@ -201,21 +213,6 @@ TEST(Exec, ForegroundHasPriorityOverDeferredWork) {
   EXPECT_EQ(ran.load(), 64);
 }
 
-TEST(Exec, ShutdownDrainsQueuedDeferredTasks) {
-  std::atomic<int> ran{0};
-  {
-    exec::Pool pool(1);
-    for (int i = 0; i < 50; ++i) {
-      pool.defer([&ran] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        ran.fetch_add(1);
-      });
-    }
-    // No quiesce: ~Pool itself must drain the backed-up lane.
-  }
-  EXPECT_EQ(ran.load(), 50);
-}
-
 // Process CPU time of every thread, in milliseconds.
 double process_cpu_ms() {
   timespec ts{};
@@ -225,7 +222,7 @@ double process_cpu_ms() {
 }
 
 TEST(Exec, IdlePoolBurnsNoCpu) {
-  exec::Pool pool(3);
+  exec::Pool& pool = exec::Pool::instance();
   auto [a, b] = pool.invoke2([] { return 1; }, [] { return 2; });
   EXPECT_EQ(a + b, 3);
   const double before = process_cpu_ms();
@@ -233,15 +230,8 @@ TEST(Exec, IdlePoolBurnsNoCpu) {
   EXPECT_LT(process_cpu_ms() - before, 5.0) << "idle workers are polling";
 }
 
-TEST(Exec, NonPositiveWorkerCountClampsToOne) {
-  exec::Pool pool(0);
-  EXPECT_GE(pool.workers(), 1);
-  auto [a, b] = pool.invoke2([] { return 3; }, [] { return 4; });
-  EXPECT_EQ(a + b, 7);
-}
-
 TEST(ExecStress, MixedForkJoinAndDeferAcrossThreads) {
-  exec::Pool pool(2);
+  exec::Pool& pool = exec::Pool::instance();
   std::atomic<std::uint64_t> deferred_ran{0};
   constexpr int kThreads = 3;
   constexpr int kRounds = 8;
@@ -263,11 +253,10 @@ TEST(ExecStress, MixedForkJoinAndDeferAcrossThreads) {
   EXPECT_EQ(deferred_ran.load(), kThreads * kRounds);
 }
 
-TEST(Exec, GlobalInstanceIsASingletonVisibleToInstanceIfCreated) {
+TEST(Exec, GlobalInstanceIsASingleton) {
   exec::Pool& a = exec::Pool::instance();
   exec::Pool& b = exec::Pool::instance();
   EXPECT_EQ(&a, &b);
-  EXPECT_EQ(exec::Pool::instance_if_created(), &a);
   EXPECT_GE(a.workers(), 1);
 }
 

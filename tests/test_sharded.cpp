@@ -128,8 +128,7 @@ TEST(ShardedBasics, InitialDatasetIsPartitionedAndReadable) {
 TEST(ShardedBasics, FlushAllDrainsEveryShard) {
   const long long base_live = ftree::live_nodes();
   {
-    PslfSharded map(2, {}, /*shards=*/4, /*buffer_capacity=*/1 << 10,
-                    /*max_batch=*/64);
+    PslfSharded map(2, {}, /*shards=*/4, /*max_batch=*/64);
     for (std::uint64_t k = 0; k < 600; ++k) {
       map.submit(0, txn::BatchOp::kUpsert, k, k);
     }
@@ -246,8 +245,7 @@ TEST(ShardedStress, SnapshotsNeverObserveTornMultiShardCommits) {
     constexpr int kReaders = 2;
     constexpr std::uint64_t kRounds = 150;
     // Producer indices: writers 0..1, churn 2, readers 3..4.
-    PswfSharded map(kWriters + 1 + kReaders, {}, kShards,
-                    /*buffer_capacity=*/1 << 10, /*max_batch=*/128);
+    PswfSharded map(kWriters + 1 + kReaders, {}, kShards, /*max_batch=*/128);
     // Writer w owns a disjoint 4-key row spanning all 4 shards: row keys
     // are drawn from disjoint ranges so the rows never collide.
     std::vector<std::vector<std::uint64_t>> rows;

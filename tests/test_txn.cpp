@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "mvcc/common/rng.h"
+#include "mvcc/exec/pool.h"
 #include "mvcc/ftree/ops.h"
 #include "mvcc/txn/sharded.h"
 #include "mvcc/vm/base.h"
@@ -55,7 +56,7 @@ TEST(TxnBatching, UpsertSyncIsVisibleOnReturn) {
 TEST(TxnBatching, FlushAllDrainsEverySubmission) {
   const long long base_live = ftree::live_nodes();
   {
-    PswfMap map(2, {}, 1, /*buffer_capacity=*/1 << 10, /*max_batch=*/64);
+    PswfMap map(2, {}, 1, /*max_batch=*/64);
     for (std::uint64_t i = 0; i < 500; ++i) {
       map.submit(0, txn::BatchOp::kUpsert, i, i);
     }
@@ -83,7 +84,7 @@ TEST(TxnBatching, FlushAllDrainsEverySubmission) {
 TEST(TxnBatching, LastWriteWinsWithinProducer) {
   const long long base_live = ftree::live_nodes();
   {
-    PswfMap map(1, {}, 1, 1 << 10, /*max_batch=*/1 << 12);
+    PswfMap map(1, {}, 1, /*max_batch=*/1 << 12);
     // All updates to the same key land in one batch: dedup must keep the
     // latest submission, matching a loop of point inserts.
     for (std::uint64_t i = 0; i <= 300; ++i) {
@@ -156,7 +157,7 @@ TEST(TxnBatchingDeathTest, ReadOnASlotPastTheProducersAsserts) {
 TEST(TxnBatching, RespectsMaxBatchBound) {
   const long long base_live = ftree::live_nodes();
   {
-    PswfMap map(1, {}, 1, 1 << 10, /*max_batch=*/8);
+    PswfMap map(1, {}, 1, /*max_batch=*/8);
     for (std::uint64_t i = 0; i < 256; ++i) {
       map.submit(0, txn::BatchOp::kUpsert, i, i);
     }
@@ -171,7 +172,7 @@ TEST(TxnBatching, RespectsMaxBatchBound) {
 TEST(TxnBatching, InitialMapIsServedBeforeAnyCommit) {
   const long long base_live = ftree::live_nodes();
   {
-    PswfMap map(2, workload::ycsb_dataset(1000), 1, 1 << 14);
+    PswfMap map(2, workload::ycsb_dataset(1000), 1);
     EXPECT_EQ(map.snapshot(1).size(), 1000u);
     auto v = map.get(0, 999);
     EXPECT_TRUE(v.has_value());
@@ -184,7 +185,7 @@ TEST(TxnBatching, InitialMapIsServedBeforeAnyCommit) {
 TEST(TxnBatching, BaseVmVariantCommitsAndDrains) {
   const long long base_live = ftree::live_nodes();
   {
-    BaseMap map(1, {}, 1, 1 << 10, 16);
+    BaseMap map(1, {}, 1, /*max_batch=*/16);
     for (std::uint64_t i = 0; i < 200; ++i) {
       map.submit(0, txn::BatchOp::kUpsert, i % 50, i);
     }
@@ -203,7 +204,7 @@ TEST(TxnBatching, MultiProducerDisjointKeysAllCommit) {
   {
     constexpr int kProducers = 4;
     constexpr std::uint64_t kPerProducer = 4000;
-    PswfMap map(kProducers, {}, 1, 1 << 12, 256);
+    PswfMap map(kProducers, {}, 1, /*max_batch=*/256);
     std::vector<std::thread> threads;
     for (int p = 0; p < kProducers; ++p) {
       threads.emplace_back([&, p] {
@@ -243,7 +244,7 @@ void run_producers_vs_readers_stress() {
   const long long base_live = ftree::live_nodes();
   {
     constexpr int kProducers = 3;
-    M map(kProducers, workload::ycsb_dataset(2000), 1, 1 << 12, 128);
+    M map(kProducers, workload::ycsb_dataset(2000), 1, /*max_batch=*/128);
     std::atomic<bool> stop{false};
     std::vector<std::thread> threads;
     for (int p = 1; p < kProducers; ++p) {
@@ -297,7 +298,7 @@ TEST(TxnBatching, NestedMapPayloadsCollectPrecisely) {
     struct Inner {
       ftree::FMap<std::uint64_t, std::uint64_t> m;
     };
-    Map1<Inner, vm::PswfVersionManager> map(1, {}, 1, 1 << 8, 16);
+    Map1<Inner, vm::PswfVersionManager> map(1, {}, 1, /*max_batch=*/16);
     ftree::FMap<std::uint64_t, std::uint64_t> proto;
     for (std::uint64_t j = 0; j < 32; ++j) proto = proto.inserted(j, j);
     for (std::uint64_t i = 0; i < 400; ++i) {
@@ -382,7 +383,7 @@ constexpr std::size_t kDefer = txn::kDeferMinBatch;
 TEST(TxnReclaim, DeferredFreesDrainToBaselineAtTeardown) {
   const long long base_live = ftree::live_nodes();
   {
-    PswfMap map(2, {}, 1, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
+    PswfMap map(2, {}, 1, /*max_batch=*/kDefer);
     for (std::uint64_t i = 0; i < 16 * kDefer; ++i) {
       map.submit(static_cast<int>(i % 2), txn::BatchOp::kUpsert, i % 512, i);
       if (i % 97 == 0) {
@@ -399,24 +400,47 @@ TEST(TxnReclaim, DeferredFreesDrainToBaselineAtTeardown) {
 
 TEST(TxnReclaim, ShutdownWithBackedUpLaneDoesNotLeak) {
   const long long base_live = ftree::live_nodes();
+  // Hold every pool worker in a deferred task until the lane is empty, so
+  // no worker can free the map's deferred sets: the lane is still backed
+  // up when the destructor runs, and only its quiesce (which helps drain
+  // from this thread) can free them.
+  exec::Pool& pool = exec::Pool::instance();
+  const int workers = pool.workers();
+  std::atomic<int> held{0};
+  std::atomic<bool> armed{false};
+  for (int w = 0; w < workers; ++w) {
+    pool.defer([&] {
+      held.fetch_add(1);
+      while (!armed.load() || vm::reclaim_queue_depth().load() > 0) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  while (held.load() < workers) std::this_thread::yield();
+  std::int64_t backlog = 0;
   {
     // Every full batch publishes a deferred freed set, and nothing waits
     // for the lane before the destructor runs (no flush, no explicit
     // quiesce — teardown must drain it; the ASan tier turns any miss into
     // a leak report).
-    PswfMap map(1, {}, 1, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
+    PswfMap map(1, {}, 1, /*max_batch=*/kDefer);
     for (std::uint64_t i = 0; i < 64 * kDefer; ++i) {
       map.submit(0, txn::BatchOp::kUpsert, i % 1024, i);
     }
+    backlog = vm::reclaim_queue_depth().load();
+    armed.store(true);
   }
+  EXPECT_GT(backlog, 0);
   EXPECT_EQ(ftree::live_nodes(), base_live);
   EXPECT_EQ(vm::reclaim_queue_depth().load(), 0);
+  // Frees the lane and lets the held workers go if teardown missed it.
+  vm::reclaim_quiesce();
 }
 
 TEST(TxnReclaim, ReadsStayCorrectWhileReclaimRunsBehind) {
   const long long base_live = ftree::live_nodes();
   {
-    PswfMap map(2, {}, 1, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
+    PswfMap map(2, {}, 1, /*max_batch=*/kDefer);
     std::atomic<bool> stop{false};
     std::thread reader([&] {
       std::uint64_t last = 0;
@@ -450,7 +474,7 @@ TEST(TxnReclaim, LaneFollowsTheCommittedBatchSize) {
   obs::set_enabled(true);
   obs::Counter& deferred = obs::registry().counter("reclaim/deferred");
   {
-    PswfMap map(1, {}, 1, /*buffer_capacity=*/1 << 10, /*max_batch=*/kDefer);
+    PswfMap map(1, {}, 1, /*max_batch=*/kDefer);
     // A 1-op commit retires the previous version inline.
     std::uint64_t d0 = deferred.value();
     map.upsert_sync(0, 1, 1);
@@ -510,7 +534,6 @@ double p99_sync_commit_us(std::uint64_t round_ops, std::uint64_t* samples) {
   const std::uint64_t key_space = 4 * round_ops;
   obs::LatencyHistogram lat;
   Map1<Slow, vm::PswfVersionManager> map(1, {}, 1,
-                                         /*buffer_capacity=*/2 * round_ops,
                                          /*max_batch=*/2 * round_ops);
   std::uint64_t key = 0;
   for (int r = 0; r < kMaxRounds && lat.count() < kMeasuredRounds; ++r) {
